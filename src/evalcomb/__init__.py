@@ -17,9 +17,12 @@ exact-enumeration tooling around all three regimes.
 """
 
 from .betting import (
+    BettingOptima,
     BettingOptimum,
     Boundary,
+    log_wealth,
     optimize_lambda,
+    optimize_lambda_batch,
     product_value,
     score_derivative,
 )
@@ -27,9 +30,7 @@ from .core import (
     EValueVector,
     LogValue,
     Regime,
-    log_add,
     log_from_value,
-    log_mul,
     validate_evalues,
 )
 from .errors import ConfigError, EvalcombError, ValidationError
@@ -46,9 +47,6 @@ from .simlab import (
     g_clipped_identity,
     g_constant,
     g_threshold_indicator,
-    gen_iid,
-    gen_sequential_adversarial,
-    gen_simultaneous_factor,
     generate,
     mc_demimartingale,
     mc_demimartingale_sweep,
@@ -59,12 +57,11 @@ from .simlab import (
 )
 from .sympoly import (
     SymmetricAverages,
-    identity_residual,
     identity_residuals,
+    log_averages_batch,
     log_esp,
     log_esp_batch,
     mixture_value,
-    naive_symmetric_sums,
     symmetric_averages,
     symmetric_sums,
 )
@@ -82,17 +79,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
+    "BettingOptima",
     "BettingOptimum",
     "Boundary",
+    "log_wealth",
     "optimize_lambda",
+    "optimize_lambda_batch",
     "product_value",
     "score_derivative",
     "EValueVector",
     "LogValue",
     "Regime",
-    "log_add",
     "log_from_value",
-    "log_mul",
     "validate_evalues",
     "ConfigError",
     "EvalcombError",
@@ -109,9 +107,6 @@ __all__ = [
     "g_clipped_identity",
     "g_constant",
     "g_threshold_indicator",
-    "gen_iid",
-    "gen_sequential_adversarial",
-    "gen_simultaneous_factor",
     "generate",
     "mc_demimartingale",
     "mc_demimartingale_sweep",
@@ -120,12 +115,11 @@ __all__ = [
     "replication_stream",
     "two_point_scenario",
     "SymmetricAverages",
-    "identity_residual",
     "identity_residuals",
+    "log_averages_batch",
     "log_esp",
     "log_esp_batch",
     "mixture_value",
-    "naive_symmetric_sums",
     "symmetric_averages",
     "symmetric_sums",
     "StatKind",

@@ -4,8 +4,8 @@ Every statistic in this package is a product or sum of nonnegative
 numbers that can span thousands of orders of magnitude, so all of them
 are carried as natural logarithms.  ``-inf`` encodes an exact zero and
 ``+inf`` an exact infinity; both are legal e-values.  The one product
-convention that the extended reals leave open is fixed here once:
-``0 * inf == 0``.  A monomial containing a zero entry contributes
+convention that the extended reals leave open is fixed once for the
+whole package: ``0 * inf == 0``.  A monomial containing a zero entry contributes
 nothing, no matter what else it contains, which keeps every combined
 statistic a lower bound for any alternative convention and therefore
 never manufactures a rejection out of an impossible product.
@@ -30,8 +30,6 @@ __all__ = [
     "GUARANTEED_REGIMES",
     "EValueVector",
     "log_from_value",
-    "log_add",
-    "log_mul",
     "validate_evalues",
     "logsumexp_1d",
 ]
@@ -98,25 +96,6 @@ def log_from_value(x: float) -> LogValue:
     return LogValue(math.log(xf))
 
 
-def log_add(a: LogValue, b: LogValue) -> LogValue:
-    """The sum of two encoded numbers, computed without overflow.
-
-    Uses the shifted-exponent rule log(e^x + e^y) = m + log(e^(x-m) +
-    e^(y-m)) with m the larger argument, so adding two numbers near the
-    top of the float range stays finite in log domain.
-    """
-    return LogValue(float(np.logaddexp(a.log_magnitude, b.log_magnitude)))
-
-
-def log_mul(a: LogValue, b: LogValue) -> LogValue:
-    """The product of two encoded numbers under the 0 * inf == 0 rule."""
-    la = a.log_magnitude
-    lb = b.log_magnitude
-    if la == LOG_ZERO or lb == LOG_ZERO:
-        return LogValue(LOG_ZERO)
-    return LogValue(la + lb)
-
-
 class Regime(enum.Enum):
     """How a batch of e-values may depend on one another.
 
@@ -175,10 +154,6 @@ class EValueVector:
         """Entries decoded to linear scale (may saturate to inf)."""
         with np.errstate(over="ignore"):
             return np.exp(self.log_values)
-
-    @property
-    def entries(self) -> tuple[LogValue, ...]:
-        return tuple(LogValue(v) for v in self.log_values)
 
 
 def validate_evalues(

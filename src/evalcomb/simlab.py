@@ -27,10 +27,11 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from ._ratpoly import esp_fractions, poly_max_reaches
+from .betting import log_wealth, optimize_lambda_batch
 from .core import EValueVector, Regime
 from .errors import ConfigError
-from .sympoly import log_binomials, log_esp_batch
-from .testkit import StatKind
+from .sympoly import log_averages_batch
+from .testkit import StatKind, decide_batch
 
 __all__ = [
     "IidTwoPoint",
@@ -42,9 +43,6 @@ __all__ = [
     "two_point_scenario",
     "default_factor_scenario",
     "replication_stream",
-    "gen_iid",
-    "gen_simultaneous_factor",
-    "gen_sequential_adversarial",
     "generate",
     "MonteCarloSummary",
     "EstimateWithError",
@@ -314,42 +312,19 @@ def _sample_row(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
     raise ConfigError(f"unknown scenario type: {type(scenario).__name__}")
 
 
-def gen_iid(scenario: Scenario, rng: np.random.Generator) -> EValueVector:
-    """One vector of independent draws from an iid scenario."""
-    if not isinstance(scenario, (IidTwoPoint, IidLognormal)):
-        raise ConfigError("gen_iid needs an iid scenario")
-    values = _sample_row(scenario, rng)
-    with np.errstate(divide="ignore"):
-        return EValueVector(np.log(values), Regime.INDEPENDENT)
-
-
-def gen_simultaneous_factor(
-    scenario: FactorScenario, rng: np.random.Generator
-) -> EValueVector:
-    """One vector of conditionally iid draws given a shared factor."""
-    if not isinstance(scenario, FactorScenario):
-        raise ConfigError("gen_simultaneous_factor needs a factor scenario")
-    values = _sample_row(scenario, rng)
-    with np.errstate(divide="ignore"):
-        return EValueVector(np.log(values), Regime.SIMULTANEOUS)
-
-
-def gen_sequential_adversarial(rng: np.random.Generator) -> EValueVector:
-    """One draw of the two-step adversarial pair."""
-    values = _sample_row(AdversarialScenario(), rng)
-    with np.errstate(divide="ignore"):
-        return EValueVector(np.log(values), Regime.SEQUENTIAL)
-
-
 def generate(scenario: Scenario, rng: np.random.Generator) -> EValueVector:
-    """Draw one replication from any scenario, with its regime tag."""
-    if isinstance(scenario, (IidTwoPoint, IidLognormal)):
-        return gen_iid(scenario, rng)
+    """Draw one replication from any scenario, tagged with its regime:
+    independent for the iid families, simultaneous for the common
+    factor and sequential for the adversarial pair."""
+    values = _sample_row(scenario, rng)
     if isinstance(scenario, FactorScenario):
-        return gen_simultaneous_factor(scenario, rng)
-    if isinstance(scenario, AdversarialScenario):
-        return gen_sequential_adversarial(rng)
-    raise ConfigError(f"unknown scenario type: {type(scenario).__name__}")
+        regime = Regime.SIMULTANEOUS
+    elif isinstance(scenario, AdversarialScenario):
+        regime = Regime.SEQUENTIAL
+    else:
+        regime = Regime.INDEPENDENT
+    with np.errstate(divide="ignore"):
+        return EValueVector(np.log(values), regime)
 
 
 def _sample_matrix(scenario: Scenario, seed: int, replications: int) -> np.ndarray:
@@ -361,66 +336,18 @@ def _sample_matrix(scenario: Scenario, seed: int, replications: int) -> np.ndarr
 
 
 # --------------------------------------------------------------------
-# batch statistics (vectorized mirrors of the public single-vector ops)
+# batch decisions
 
 
-def _batch_log_max_average(log_rows: np.ndarray) -> np.ndarray:
-    """Row-wise log max_k A_k."""
-    n = log_rows.shape[1]
-    log_S = log_esp_batch(log_rows)
-    log_A = log_S - log_binomials(n)
-    return log_A.max(axis=1)
-
-
-_BATCH_BISECTION_STEPS = 33  # halves [0, 1] to width 2^-33 < 2e-10
-
-
-def _batch_log_sup_betting(rows: np.ndarray) -> np.ndarray:
-    """Row-wise log sup over lam of the betting product.
-
-    The same decision tree as :func:`evalcomb.betting.optimize_lambda`
-    (boundary cases first, then derivative-sign bisection), applied to
-    all rows at once.  Requires finite entries, which every scenario
-    produces.
-    """
-    reps, _ = rows.shape
-    out = np.zeros(reps)
-    slope_at_zero = (rows - 1.0).sum(axis=1)
-    undecided = slope_at_zero > 0.0
-    if not undecided.any():
-        return out
-    with np.errstate(divide="ignore"):
-        slope_at_one = (1.0 - 1.0 / rows).sum(axis=1)
-    at_one = undecided & (slope_at_one >= 0.0)
-    if at_one.any():
-        with np.errstate(divide="ignore"):
-            out[at_one] = np.log(rows[at_one]).sum(axis=1)
-    active = undecided & ~at_one
-    if not active.any():
-        return out
-    e = rows[active]
-    lo = np.zeros(e.shape[0])
-    hi = np.ones(e.shape[0])
-    for _ in range(_BATCH_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        slope = ((e - 1.0) / ((1.0 - mid)[:, None] + mid[:, None] * e)).sum(axis=1)
-        positive = slope > 0.0
-        lo = np.where(positive, mid, lo)
-        hi = np.where(positive, hi, mid)
-    lam = 0.5 * (lo + hi)
-    values = np.log1p(lam[:, None] * (e - 1.0)).sum(axis=1)
-    out[active] = np.maximum(0.0, values)
-    return out
-
-
-def _batch_log_ville(log_rows: np.ndarray, lam: float) -> np.ndarray:
-    """Row-wise log of the running-product maximum at a constant
-    fraction lam in (0, 1)."""
-    if not (0.0 < lam < 1.0):
-        raise ConfigError(f"batch Ville fraction must be interior, got {lam}")
-    factors = np.logaddexp(math.log1p(-lam), math.log(lam) + log_rows)
-    trajectory = np.cumsum(factors, axis=1)
-    return trajectory.max(axis=1)
+def _reject_rows(log_rows: np.ndarray, alpha: float) -> dict[StatKind, np.ndarray]:
+    """Every statistic's verdict on every row: the kernels and the
+    decision rule of the single-vector tests, applied to all rows."""
+    log_statistics = {
+        StatKind.MAX_AVERAGE: log_averages_batch(log_rows)[1].max(axis=1),
+        StatKind.OPTIMIZED_BETTING: optimize_lambda_batch(log_rows).log_value,
+        StatKind.VILLE_SEQUENTIAL: log_wealth(log_rows, VILLE_DEFAULT_LAMBDA).max(axis=1),
+    }
+    return {kind: decide_batch(ls, alpha)[2] for kind, ls in log_statistics.items()}
 
 
 # --------------------------------------------------------------------
@@ -486,20 +413,10 @@ def _run_batch(
     rows = _sample_matrix(scenario, seed, replications)
     with np.errstate(divide="ignore"):
         log_rows = np.log(rows)
-    threshold = -math.log(alpha)
-    ls_max = _batch_log_max_average(log_rows)
-    ls_bet = _batch_log_sup_betting(rows)
-    ls_vil = _batch_log_ville(log_rows, VILLE_DEFAULT_LAMBDA)
-    reject_max = ls_max >= threshold
-    reject_bet = ls_bet >= threshold
-    reject_vil = ls_vil >= threshold
+    reject = _reject_rows(log_rows, alpha)
     rates: dict[StatKind, float] = {}
     errors: dict[StatKind, float] = {}
-    for kind, flags in (
-        (StatKind.MAX_AVERAGE, reject_max),
-        (StatKind.OPTIMIZED_BETTING, reject_bet),
-        (StatKind.VILLE_SEQUENTIAL, reject_vil),
-    ):
+    for kind, flags in reject.items():
         rates[kind], errors[kind] = _rate_with_se(flags)
     summary = MonteCarloSummary(
         replications=replications,
@@ -509,7 +426,7 @@ def _run_batch(
         standard_error=errors,
         elapsed=time.perf_counter() - started,
     )
-    return summary, reject_max, reject_bet
+    return summary, reject[StatKind.MAX_AVERAGE], reject[StatKind.OPTIMIZED_BETTING]
 
 
 def mc_type1(
@@ -632,8 +549,7 @@ def _averages_matrix(scenario: Scenario, seed: int, replications: int) -> np.nda
     rows = _sample_matrix(scenario, seed, replications)
     with np.errstate(divide="ignore"):
         log_rows = np.log(rows)
-    log_A = log_esp_batch(log_rows) - log_binomials(scenario.n)
-    return np.exp(log_A)
+    return np.exp(log_averages_batch(log_rows)[1])
 
 
 def mc_demimartingale(

@@ -8,29 +8,24 @@ t with probability at most 1/t.  It also dominates the whole family of
 constant-fraction betting products, which is what makes it the stronger
 of the two batch combination rules offered by this package.
 
-Everything here runs in log domain.  The O(n^2) one-pass recursion
+Everything here runs in log domain, row-wise over a (rows, n) matrix
+of log e-values; the single-vector functions are the rows = 1 case.
+The O(n^2) one-pass recursion
 
     s_j <- s_j + E_m * s_{j-1}    (m = 1..n, j descending implicit)
 
-is the workhorse; a 2^n subset enumeration is kept alongside it as an
-independent oracle for tests.
+is the only way the sums are computed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    LOG_ZERO,
-    EValueVector,
-    LogValue,
-    logsumexp_1d,
-)
+from .core import LOG_INF, LOG_ZERO, EValueVector, LogValue, logsumexp_1d
 from .errors import ConfigError, ValidationError
 
 __all__ = [
@@ -38,51 +33,29 @@ __all__ = [
     "log_esp",
     "log_esp_batch",
     "log_binomials",
+    "log_averages_batch",
     "symmetric_sums",
-    "naive_symmetric_sums",
     "symmetric_averages",
     "mixture_value",
-    "identity_residual",
     "identity_residuals",
 ]
 
-_NAIVE_MAX_N = 22
-
 
 def log_esp(log_values: np.ndarray) -> np.ndarray:
-    """log S_0 .. log S_n for one vector of log e-values.
+    """log S_0 .. log S_n for one vector of log e-values: the rows = 1
+    case of :func:`log_esp_batch`."""
+    return log_esp_batch(np.asarray(log_values, dtype=float)[None])[0]
+
+
+def log_esp_batch(log_rows: np.ndarray) -> np.ndarray:
+    """log S_0 .. log S_n for each row of a (rows, n) matrix of log
+    e-values.
 
     Runs the quadratic one-entry-at-a-time recursion entirely with
     log-sum-exp updates, so it neither overflows nor underflows.  The
     NaN patch applies the 0 * inf == 0 rule: IEEE turns those products
     (-inf plus +inf) into NaN, and the convention says they are zeros.
-    """
-    log_values = np.asarray(log_values, dtype=float)
-    n = log_values.size
-    s = np.full(n + 1, LOG_ZERO)
-    s[0] = 0.0
-    buf = np.empty(n)
-    lo, hi = s[:n], s[1:]
-    patch_products = bool(np.isposinf(log_values).any())
-    with np.errstate(invalid="ignore"):
-        for m in range(n):
-            # Full-width update: positions past the current prefix hold
-            # log 0, so adding the new entry and folding in leaves them
-            # untouched.  Fixed-size operations keep the per-step numpy
-            # overhead constant.
-            np.add(lo, log_values[m], out=buf)
-            if patch_products:
-                buf[np.isnan(buf)] = LOG_ZERO
-            np.logaddexp(hi, buf, out=hi)
-    return s
-
-
-def log_esp_batch(log_rows: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`log_esp` for a (rows, n) matrix, vectorized.
-
-    Produces bit-identical results to calling :func:`log_esp` on each
-    row: the full-width update only ever touches positions whose value
-    is an exact no-op for the shorter prefix.
+    Rows never mix, so a row's result does not depend on the others.
     """
     log_rows = np.asarray(log_rows, dtype=float)
     if log_rows.ndim != 2:
@@ -92,10 +65,19 @@ def log_esp_batch(log_rows: np.ndarray) -> np.ndarray:
     s[:, 0] = 0.0
     buf = np.empty((rows, n))
     lo, hi = s[:, :n], s[:, 1:]
-    patch_products = bool(np.isposinf(log_rows).any())
+    entries = log_rows.T[:, :, None]
+    if rows == 1:
+        # The same arithmetic on 1-D views and Python-float entries,
+        # where numpy's per-call overhead is lowest.
+        lo, hi, buf, entries = lo[0], hi[0], buf[0], log_rows[0].tolist()
+    patch_products = bool((log_rows == LOG_INF).any())
     with np.errstate(invalid="ignore"):
         for m in range(n):
-            np.add(lo, log_rows[:, m : m + 1], out=buf)
+            # Full-width update: positions past the current prefix hold
+            # log 0, so adding the new entry and folding in leaves them
+            # untouched.  Fixed-size operations keep the per-step numpy
+            # overhead constant.
+            np.add(lo, entries[m], out=buf)
             if patch_products:
                 buf[np.isnan(buf)] = LOG_ZERO
             np.logaddexp(hi, buf, out=hi)
@@ -120,33 +102,15 @@ def log_binomials(n: int) -> np.ndarray:
     return out
 
 
+def log_averages_batch(log_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise log S_k and log A_k = log S_k - log C(n, k), k = 0..n."""
+    log_S = log_esp_batch(log_rows)
+    return log_S, log_S - log_binomials(log_S.shape[1] - 1)
+
+
 def symmetric_sums(E: EValueVector) -> tuple[LogValue, ...]:
     """S_0 .. S_n via the one-pass quadratic recursion."""
     return tuple(LogValue(v) for v in log_esp(E.log_values))
-
-
-def naive_symmetric_sums(E: EValueVector) -> tuple[LogValue, ...]:
-    """S_0 .. S_n by brute-force subset enumeration (oracle path).
-
-    Walks all 2^n subsets and sums each subset's product explicitly,
-    sharing no code with :func:`symmetric_sums`.  Refuses n > 22.
-    """
-    n = E.n
-    if n > _NAIVE_MAX_N:
-        raise ValidationError(
-            f"subset enumeration is limited to n <= {_NAIVE_MAX_N}, got {n}"
-        )
-    logs = [float(v) for v in E.log_values]
-    out = [LogValue(0.0)]
-    for k in range(1, n + 1):
-        terms = []
-        for combo in itertools.combinations(logs, k):
-            if LOG_ZERO in combo:
-                terms.append(LOG_ZERO)
-            else:
-                terms.append(sum(combo))
-        out.append(LogValue(logsumexp_1d(np.array(terms))))
-    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,15 +148,9 @@ class SymmetricAverages:
         return self.argmax_k == 0
 
 
-def _log_average_arrays(E: EValueVector) -> tuple[np.ndarray, np.ndarray]:
-    log_S = log_esp(E.log_values)
-    log_A = log_S - log_binomials(E.n)
-    return log_S, log_A
-
-
 def symmetric_averages(E: EValueVector) -> SymmetricAverages:
     """A_k = S_k / C(n, k) for all k, plus argmax and max."""
-    log_S, log_A = _log_average_arrays(E)
+    log_S, log_A = (v[0] for v in log_averages_batch(E.log_values[None]))
     log_S.flags.writeable = False
     log_A.flags.writeable = False
     argmax_k = int(np.argmax(log_A))
@@ -217,7 +175,7 @@ def mixture_value(E: EValueVector, lam: float) -> LogValue:
     lam = float(lam)
     if math.isnan(lam) or not (0.0 <= lam <= 1.0):
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
-    _, log_A = _log_average_arrays(E)
+    log_A = log_averages_batch(E.log_values[None])[1][0]
     if lam == 0.0:
         return LogValue(0.0)
     if lam == 1.0:
@@ -247,8 +205,7 @@ def identity_residuals(E: EValueVector) -> np.ndarray:
         raise ValidationError(
             "identity check requires finite e-values that fit in linear scale"
         )
-    _, log_A = _log_average_arrays(E)
-    A = np.exp(log_A)
+    A = np.exp(log_averages_batch(E.log_values[None])[1][0])
     loo = np.empty((n, n - 1))
     for i in range(n):
         loo[i, :i] = E.log_values[:i]
@@ -261,16 +218,3 @@ def identity_residuals(E: EValueVector) -> np.ndarray:
         scale = max(1.0, A[k], A[k + 1])
         residuals[k] = (lhs - rhs) / scale
     return residuals
-
-
-def identity_residual(E: EValueVector, k: int) -> float:
-    """Normalized residual of the telescoping identity at one k.
-
-    Computes all leave-one-out sums for the vector, so when several k
-    are needed prefer :func:`identity_residuals`, which shares that
-    work across k.
-    """
-    k = int(k)
-    if not 0 <= k <= E.n - 1:
-        raise ConfigError(f"k must lie in [0, n-1] = [0, {E.n - 1}], got {k}")
-    return float(identity_residuals(E)[k])

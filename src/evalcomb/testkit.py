@@ -27,14 +27,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .betting import BettingOptimum, optimize_lambda
-from .core import (
-    GUARANTEED_REGIMES,
-    LOG_ZERO,
-    EValueVector,
-    LogValue,
-    Regime,
-)
+from .betting import BettingOptimum, log_wealth, optimize_lambda
+from .core import GUARANTEED_REGIMES, EValueVector, LogValue, Regime
 from .errors import ConfigError, ValidationError
 from .sympoly import SymmetricAverages, symmetric_averages
 
@@ -45,6 +39,7 @@ __all__ = [
     "test_max_average",
     "test_optimized_betting",
     "test_ville",
+    "decide_batch",
     "e_to_p",
 ]
 
@@ -143,11 +138,25 @@ below every documented tolerance and inflates the rejection region by
 a relative 5e-13, which is invisible next to the 1/t guarantee."""
 
 
-def _decide(log_statistic: float, alpha: float) -> tuple[float, float, bool, float]:
+def decide_batch(
+    log_statistics: np.ndarray, alpha: float
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """The closed rule, statistic >= 1/alpha rejects, elementwise.
+
+    Returns the log statistics with those within ``_BOUNDARY_SNAP`` of
+    the threshold moved onto it, the log threshold -log(alpha), and the
+    verdicts.  Every test here and every Monte Carlo rate decides
+    through this one function; alpha must already be checked.
+    """
     log_threshold = -math.log(alpha)
-    if abs(log_statistic - log_threshold) <= _BOUNDARY_SNAP:
-        log_statistic = log_threshold
-    reject = log_statistic >= log_threshold
+    snapped = np.array(log_statistics, dtype=float)
+    snapped[np.abs(snapped - log_threshold) <= _BOUNDARY_SNAP] = log_threshold
+    return snapped, log_threshold, snapped >= log_threshold
+
+
+def _decide(log_statistic: float, alpha: float) -> tuple[float, float, bool, float]:
+    snapped, log_threshold, reject = decide_batch(log_statistic, alpha)
+    log_statistic, reject = float(snapped), bool(reject)
     return (
         log_statistic,
         log_threshold,
@@ -243,31 +252,13 @@ def test_ville(
     """
     alpha = _checked_alpha(alpha)
     lams, is_constant = _resolve_strategy(E, strategy)
-    n = E.n
-    step_logs = np.empty(n)
-    for i in range(n):
-        lam = lams[i]
-        if lam == 0.0:
-            step_logs[i] = 0.0
-        elif lam == 1.0:
-            step_logs[i] = E.log_values[i]
-        else:
-            step_logs[i] = np.logaddexp(
-                math.log1p(-lam), math.log(lam) + E.log_values[i]
-            )
-    with np.errstate(invalid="ignore"):
-        trajectory = np.cumsum(step_logs)
-    zero_steps = step_logs == LOG_ZERO
-    if zero_steps.any():
-        # A zero factor bankrupts the product for good; this also
-        # overwrites any NaN that IEEE creates when an infinite factor
-        # meets the ruin (0 * inf == 0).
-        trajectory[int(np.argmax(zero_steps)) :] = LOG_ZERO
-    log_statistic = float(np.max(trajectory))
-    log_statistic, log_threshold, reject, p_bound = _decide(log_statistic, alpha)
-    # the same snap as _decide, so reject always comes with an index
-    crossed = trajectory >= log_threshold - _BOUNDARY_SNAP
-    hitting_index = int(np.argmax(crossed)) + 1 if crossed.any() else None
+    trajectory = log_wealth(E.log_values[None], lams)[0]
+    snapped, log_threshold, crossed = decide_batch(trajectory, alpha)
+    # snapping is monotone, so the snapped maximum is the snapped statistic
+    log_statistic = float(np.max(snapped))
+    reject = bool(crossed.any())
+    hitting_index = int(np.argmax(crossed)) + 1 if reject else None
+    p_bound = _reconciled_p_bound(log_statistic, alpha, reject)
     warnings: tuple[str, ...] = ()
     if E.regime is Regime.UNKNOWN:
         warnings += (

@@ -36,13 +36,9 @@ from evalcomb.simlab import (
     mc_type1,
     two_point_scenario,
 )
-from evalcomb.sympoly import (
-    identity_residuals,
-    naive_symmetric_sums,
-    symmetric_averages,
-    symmetric_sums,
-)
+from evalcomb.sympoly import identity_residuals, symmetric_averages, symmetric_sums
 from evalcomb.testkit import StatKind, test_max_average, test_optimized_betting
+from oracles import naive_symmetric_sums
 
 BATCH_KINDS = (StatKind.MAX_AVERAGE, StatKind.OPTIMIZED_BETTING)
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from evalcomb.core import (
     LOG_INF,
@@ -11,9 +10,7 @@ from evalcomb.core import (
     LogValue,
     Regime,
     GUARANTEED_REGIMES,
-    log_add,
     log_from_value,
-    log_mul,
     logsumexp_1d,
     validate_evalues,
 )
@@ -57,46 +54,6 @@ def test_log_from_value_edge_cases():
         log_from_value(float("nan"))
 
 
-def test_log_add_oracle():
-    a = log_from_value(2.0)
-    b = log_from_value(6.0)
-    assert log_add(a, b).value == pytest.approx(8.0, rel=1e-15)
-
-
-def test_log_mul_oracle():
-    assert log_mul(log_from_value(2.0), log_from_value(6.0)).value == pytest.approx(
-        12.0, rel=1e-15
-    )
-
-
-def test_log_mul_zero_dominates_infinity():
-    """The measure-theoretic convention 0 * inf = 0."""
-    zero = LogValue(LOG_ZERO)
-    inf = LogValue(LOG_INF)
-    assert log_mul(zero, inf).is_zero
-    assert log_mul(inf, zero).is_zero
-
-
-finite_logs = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
-
-
-@given(finite_logs, finite_logs)
-def test_log_add_commutes(x, y):
-    a, b = LogValue(x), LogValue(y)
-    assert log_add(a, b).log_magnitude == log_add(b, a).log_magnitude
-
-
-@given(finite_logs, finite_logs)
-def test_log_add_dominates_both_terms(x, y):
-    s = log_add(LogValue(x), LogValue(y)).log_magnitude
-    assert s >= max(x, y)
-
-
-@given(finite_logs)
-def test_log_add_with_zero_is_identity(x):
-    assert log_add(LogValue(x), LogValue(LOG_ZERO)).log_magnitude == x
-
-
 class TestValidateEvalues:
     def test_basic(self):
         ev = validate_evalues([1.0, 2.0, 0.5])
@@ -110,8 +67,8 @@ class TestValidateEvalues:
 
     def test_zero_and_inf_allowed(self):
         ev = validate_evalues([0.0, math.inf, 1.0])
-        assert ev.entries[0].is_zero
-        assert ev.entries[1].is_infinite
+        assert ev.log_values[0] == LOG_ZERO
+        assert ev.log_values[1] == LOG_INF
 
     def test_negative_rejected_with_position(self):
         with pytest.raises(ValidationError, match="2"):
@@ -141,11 +98,6 @@ class TestEValueVector:
         ev = EValueVector(raw)
         raw[0] = 99.0
         assert ev.log_values[0] == 0.0
-
-    def test_entries_are_log_values(self):
-        ev = validate_evalues([4.0])
-        assert isinstance(ev.entries[0], LogValue)
-        assert ev.entries[0].value == pytest.approx(4.0)
 
 
 def test_logsumexp_empty_is_log_zero():

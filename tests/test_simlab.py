@@ -1,11 +1,12 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from evalcomb.betting import optimize_lambda
-from evalcomb.core import Regime
+from evalcomb.betting import log_wealth, optimize_lambda, optimize_lambda_batch
+from evalcomb.core import EValueVector, Regime
 from evalcomb.errors import ConfigError
 from evalcomb.simlab import (
     AdversarialScenario,
@@ -15,18 +16,13 @@ from evalcomb.simlab import (
     IidTwoPoint,
     MAX_ENUMERATION_OUTCOMES,
     VILLE_DEFAULT_LAMBDA,
-    _batch_log_max_average,
-    _batch_log_sup_betting,
-    _batch_log_ville,
+    _reject_rows,
     _sample_matrix,
     default_factor_scenario,
     enumerate_exact,
     g_clipped_identity,
     g_constant,
     g_threshold_indicator,
-    gen_iid,
-    gen_sequential_adversarial,
-    gen_simultaneous_factor,
     generate,
     mc_demimartingale,
     mc_demimartingale_sweep,
@@ -35,8 +31,13 @@ from evalcomb.simlab import (
     replication_stream,
     two_point_scenario,
 )
-from evalcomb.sympoly import symmetric_averages
-from evalcomb.testkit import StatKind, test_ville
+from evalcomb.sympoly import log_averages_batch, symmetric_averages
+from evalcomb.testkit import (
+    StatKind,
+    test_max_average,
+    test_optimized_betting,
+    test_ville,
+)
 
 
 NULL_TP = two_point_scenario(p=0.5, n=6, lo=0.0, mean=1.0)
@@ -133,19 +134,19 @@ class TestStreams:
 
 class TestGenerators:
     def test_iid_two_point_support_and_regime(self):
-        ev = gen_iid(NULL_TP, replication_stream(0, 0))
+        ev = generate(NULL_TP, replication_stream(0, 0))
         assert ev.regime is Regime.INDEPENDENT
         assert ev.n == NULL_TP.n
         assert set(np.round(ev.values, 12)) <= {0.0, 2.0}
 
     def test_iid_lognormal_positive(self):
-        ev = gen_iid(IidLognormal(sigma=1.0, n=40), replication_stream(1, 0))
+        ev = generate(IidLognormal(sigma=1.0, n=40), replication_stream(1, 0))
         assert (ev.values > 0).all()
 
     def test_factor_rows_use_one_level(self):
         sc = default_factor_scenario(12)
         for r in range(20):
-            ev = gen_simultaneous_factor(sc, replication_stream(5, r))
+            ev = generate(sc, replication_stream(5, r))
             assert ev.regime is Regime.SIMULTANEOUS
             support = set(np.round(ev.values, 12))
             assert support <= {0.0, 4.0} or support <= {0.5, 1.5}
@@ -153,16 +154,14 @@ class TestGenerators:
     def test_adversarial_support(self):
         seen = set()
         for r in range(300):
-            ev = gen_sequential_adversarial(replication_stream(11, r))
+            ev = generate(AdversarialScenario(), replication_stream(11, r))
             assert ev.regime is Regime.SEQUENTIAL
             seen.add(tuple(np.round(ev.values, 12)))
         assert seen == {(2.0, 1.0), (0.0, 8.0), (0.0, 0.0)}
 
     def test_generate_dispatch_mismatch(self):
         with pytest.raises(ConfigError):
-            gen_iid(default_factor_scenario(3), replication_stream(0, 0))
-        with pytest.raises(ConfigError):
-            gen_simultaneous_factor(NULL_TP, replication_stream(0, 0))
+            generate(object(), replication_stream(0, 0))
 
     def test_sample_matrix_matches_public_generator(self):
         """The batched sampler must realize exactly the same draws as the
@@ -175,45 +174,100 @@ class TestGenerators:
                 np.testing.assert_array_equal(rows[r], ev.values)
 
 
-# ----- batch statistics agree with the public single-vector ops -----
+# ----- the single-vector ops are the batch kernels' rows = 1 case -----
 
 
-def _rows(seed, reps, scenario):
-    return _sample_matrix(scenario, seed, reps)
+EDGE_ROWS = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, math.inf, 2.0, 0.5],
+        [math.inf, 1.0, 1.0, 1.0],
+        [1e-320, 5.0, 1e-310, 2.0],
+        [1e308, 1e308, 0.5, 1e-308],
+        [1e300, 0.0, 3.0, 1e-300],
+        [1.0, 1.0, 1.0, 1.0],
+        [2.0, 2.0, 2.0, 0.5],
+        [8.0, 0.0, 8.0, 0.0],
+        [0.5, 0.5, 0.25, 0.9],
+    ]
+)
+
+
+def _log(rows):
+    with np.errstate(divide="ignore"):
+        return np.log(rows)
+
+
+def _log_matrices():
+    """Sampled rows of every scenario family, then the edge rows."""
+    for seed, scenario in enumerate(
+        (NULL_TP, default_factor_scenario(7), IidLognormal(1.5, 5), AdversarialScenario())
+    ):
+        yield _log(_sample_matrix(scenario, seed, 64))
+    yield _log(EDGE_ROWS)
 
 
 class TestBatchKernels:
     def test_batch_max_average(self):
-        rows = _rows(3, 64, NULL_TP)
-        with np.errstate(divide="ignore"):
-            got = _batch_log_max_average(np.log(rows))
-        for i, row in enumerate(rows):
-            ev = generate(NULL_TP, replication_stream(3, i))
-            want = symmetric_averages(ev).log_max.log_magnitude
-            assert got[i] == pytest.approx(want, abs=1e-12)
+        for log_rows in _log_matrices():
+            log_S, log_A = log_averages_batch(log_rows)
+            for i, row in enumerate(log_rows):
+                single = symmetric_averages(EValueVector(row))
+                np.testing.assert_array_equal(
+                    [v.log_magnitude for v in single.log_S], log_S[i]
+                )
+                np.testing.assert_array_equal(
+                    [v.log_magnitude for v in single.log_A], log_A[i]
+                )
+                assert single.log_max.log_magnitude == log_A[i].max()
 
     def test_batch_betting(self):
-        rows = _rows(4, 64, default_factor_scenario(7))
-        got = _batch_log_sup_betting(rows)
-        for i, row in enumerate(rows):
-            ev = generate(default_factor_scenario(7), replication_stream(4, i))
-            want = optimize_lambda(ev).log_value.log_magnitude
-            assert got[i] == pytest.approx(want, abs=1e-9)
+        for log_rows in _log_matrices():
+            batch = optimize_lambda_batch(log_rows)
+            for i, row in enumerate(log_rows):
+                single = optimize_lambda(EValueVector(row))
+                assert single.log_value.log_magnitude == batch.log_value[i]
+                assert single.lambda_star == batch.lambda_star[i]
+                assert single.boundary is batch.boundary[i]
+                assert single.iterations == batch.iterations[i]
+                assert single.achieved_tol == batch.achieved_tol[i]
+                assert single.infinite_evidence == batch.infinite_evidence[i]
 
     def test_batch_ville(self):
-        rows = _rows(5, 64, NULL_TP)
-        with np.errstate(divide="ignore"):
-            got = _batch_log_ville(np.log(rows), VILLE_DEFAULT_LAMBDA)
-        for i, row in enumerate(rows):
-            ev = generate(NULL_TP, replication_stream(5, i))
-            report = test_ville(ev, VILLE_DEFAULT_LAMBDA, 0.05)
-            assert got[i] == pytest.approx(
-                report.log_statistic.log_magnitude, abs=1e-12
-            )
+        for log_rows in _log_matrices():
+            steps = np.resize([0.0, 1.0, 0.3], log_rows.shape[1])
+            for strategy in (VILLE_DEFAULT_LAMBDA, steps):
+                wealth = log_wealth(log_rows, strategy)
+                for i, row in enumerate(log_rows):
+                    report = test_ville(EValueVector(row), strategy, 0.05)
+                    np.testing.assert_array_equal(
+                        [v.log_magnitude for v in report.detail.log_trajectory],
+                        wealth[i],
+                    )
 
-    def test_batch_ville_needs_interior_lambda(self):
-        with pytest.raises(ConfigError):
-            _batch_log_ville(np.zeros((2, 2)), 1.0)
+    def test_batch_decisions_match_reports(self):
+        """On every small grid row, including rows whose statistic sits
+        exactly on the threshold (max average of (8, 0) is 4, both
+        statistics of (2, 2, 2, 0.5) are 4), the Monte Carlo verdict is
+        the report's verdict."""
+        grid = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
+        runners = {
+            StatKind.MAX_AVERAGE: test_max_average,
+            StatKind.OPTIMIZED_BETTING: test_optimized_betting,
+            StatKind.VILLE_SEQUENTIAL: lambda ev, a: test_ville(
+                ev, VILLE_DEFAULT_LAMBDA, a
+            ),
+        }
+        for n in (1, 2, 3, 4):
+            log_rows = _log(np.array(list(itertools.product(grid, repeat=n))))
+            for alpha in (0.5, 0.25, 0.125):
+                reject = _reject_rows(log_rows, alpha)
+                for i, row in enumerate(log_rows):
+                    ev = EValueVector(row)
+                    for kind, runner in runners.items():
+                        assert reject[kind][i] == runner(ev, alpha).reject, (
+                            kind, np.exp(row), alpha
+                        )
 
 
 # ----- Monte Carlo -----
@@ -266,6 +320,18 @@ class TestMonteCarlo:
     def test_type1_summary_has_no_dominance_field(self):
         s = mc_type1(NULL_TP, 0.1, 200, seed=0)
         assert s.dominance_violations is None
+
+    def test_rates_at_the_closed_threshold(self):
+        """Two draws from {0, 8} with P(8) = 1/8: the max average of
+        (8, 0) is exactly 4, so at alpha = 1/4 it rejects with
+        probability 15/64; the betting statistic only on (8, 8)."""
+        sc = two_point_scenario(p=0.125, n=2, lo=0.0, hi=8.0)
+        s = mc_type1(sc, 0.25, 20_000, seed=3)
+        assert enumerate_exact(sc, 4, StatKind.MAX_AVERAGE) == Fraction(15, 64)
+        for kind in (StatKind.MAX_AVERAGE, StatKind.OPTIMIZED_BETTING):
+            exact = float(enumerate_exact(sc, 4, kind))
+            se = math.sqrt(exact * (1 - exact) / 20_000)
+            assert abs(s.rejection_rate[kind] - exact) <= 6 * se
 
     def test_adversarial_rate_near_nine_sixteenths(self):
         s = mc_type1(AdversarialScenario(), 0.5, 20_000, seed=31)

@@ -8,16 +8,15 @@ from evalcomb.betting import product_value
 from evalcomb.core import LOG_INF, LOG_ZERO, Regime, validate_evalues
 from evalcomb.errors import ConfigError, ValidationError
 from evalcomb.sympoly import (
-    identity_residual,
     identity_residuals,
     log_binomials,
     log_esp,
     log_esp_batch,
     mixture_value,
-    naive_symmetric_sums,
     symmetric_averages,
     symmetric_sums,
 )
+from oracles import naive_symmetric_sums
 
 
 def _log_vals(values):
@@ -221,21 +220,6 @@ def test_identity_residuals_vanish(values):
         return
     res = identity_residuals(ev)
     assert np.max(np.abs(res)) < 1e-10
-
-
-def test_identity_residual_single_k_matches_plural():
-    ev = validate_evalues([0.5, 4.0, 1.0, 2.5])
-    res = identity_residuals(ev)
-    for k in range(ev.n - 1):
-        assert identity_residual(ev, k) == res[k]
-
-
-def test_identity_residual_k_out_of_range():
-    ev = validate_evalues([1.0, 2.0])
-    with pytest.raises(ConfigError):
-        identity_residual(ev, 2)
-    with pytest.raises(ConfigError):
-        identity_residual(ev, -1)
 
 
 def test_identity_rejects_infinite_entries():
