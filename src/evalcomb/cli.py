@@ -379,7 +379,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "rejection_rate": {k.value: v for k, v in summary.rejection_rate.items()},
         "standard_error": {k.value: v for k, v in summary.standard_error.items()},
     }
-    if summary.dominance_violations is not None:
+    if not scenario.is_null:
         record["dominance_violations"] = summary.dominance_violations
     sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
     return 0

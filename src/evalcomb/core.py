@@ -164,10 +164,14 @@ def validate_evalues(
 
     Every entry must be a nonnegative number; ``inf`` is allowed, NaN
     and negatives are not.  The error message names the position
-    (0-based) of the first offending entry.
+    (0-based) of the first offending entry.  Numeric ndarrays are read
+    without a copy; other iterables, generators among them, are listed
+    first.
     """
+    if not (isinstance(raw, np.ndarray) and raw.dtype.kind in "biuf"):
+        raw = list(raw)
     try:
-        arr = np.asarray(list(raw), dtype=float)
+        arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"e-values must all be numbers: {exc}") from exc
     if arr.ndim != 1 or arr.size == 0:

@@ -11,9 +11,13 @@ The lab answers three kinds of question at desk scale:
   mean-1 sampling, i.e. E[(A_{k+1} - A_k) g(A_0..A_k)] >= 0 for
   increasing g?
 
-Reproducibility contract: replication r draws from a dedicated stream
-seeded by (seed, r), so estimates do not depend on execution order and
-can be merged across workers.
+Reproducibility contract: the Monte Carlo loop walks the replications
+in blocks of ``_BLOCK`` rows, and block b is drawn row-major from
+``replication_stream(seed, b * _BLOCK)``.  Row r is therefore a pure
+function of (seed, r), with ``_BLOCK`` part of that function: results
+do not depend on how blocks are ordered or distributed, a sample of R
+replications is a prefix of any larger one, and memory stays
+O(``_BLOCK`` * n) whatever the number of replications.
 """
 
 from __future__ import annotations
@@ -22,13 +26,13 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 from ._ratpoly import esp_fractions, poly_max_reaches
 from .betting import log_wealth, optimize_lambda_batch
-from .core import EValueVector, Regime
+from .core import LOG_ZERO, EValueVector, Regime
 from .errors import ConfigError
 from .sympoly import log_averages_batch
 from .testkit import StatKind, decide_batch
@@ -65,6 +69,10 @@ third rate alongside the two batch statistics."""
 
 MAX_ENUMERATION_OUTCOMES = 10**6
 
+_BLOCK = 4096
+"""Replications per block of the Monte Carlo loop (see the module
+docstring: changing it changes which stream each row is drawn from)."""
+
 
 def _check_prob(name: str, value: float) -> float:
     value = float(value)
@@ -87,12 +95,15 @@ class IidTwoPoint:
     The extremal null family: with lo = 0 and hi = 1/p the law has mean
     exactly 1 with all of its mass budget on one atom, which stresses
     the tail bounds hardest.  ``is_null`` is derived from the mean.
+    Sampling and enumeration treat it as a factor scenario with the
+    single level ``levels[0]``.
     """
 
     p: float
     hi: float
     lo: float
     n: int
+    regime: ClassVar[Regime] = Regime.INDEPENDENT
 
     def __post_init__(self) -> None:
         _check_prob("p", self.p)
@@ -101,6 +112,10 @@ class IidTwoPoint:
         if int(self.n) < 1:
             raise ConfigError(f"n must be at least 1, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
+
+    @property
+    def levels(self) -> tuple[FactorLevel, ...]:
+        return (FactorLevel(prob=1.0, p=self.p, hi=self.hi, lo=self.lo),)
 
     @property
     def mean(self) -> float:
@@ -154,6 +169,7 @@ class IidLognormal:
 
     sigma: float
     n: int
+    regime: ClassVar[Regime] = Regime.INDEPENDENT
 
     def __post_init__(self) -> None:
         if math.isnan(self.sigma) or not (self.sigma > 0.0) or math.isinf(self.sigma):
@@ -203,6 +219,7 @@ class FactorScenario:
 
     levels: tuple[FactorLevel, ...]
     n: int
+    regime: ClassVar[Regime] = Regime.SIMULTANEOUS
 
     def __post_init__(self) -> None:
         if not self.levels:
@@ -253,6 +270,8 @@ class AdversarialScenario:
     which no level-1/2 test with the 1/t guarantee may reach.
     """
 
+    regime: ClassVar[Regime] = Regime.SEQUENTIAL
+
     @property
     def n(self) -> int:
         return 2
@@ -274,11 +293,12 @@ Scenario = Union[IidTwoPoint, IidLognormal, FactorScenario, AdversarialScenario]
 
 
 def replication_stream(seed: int, replication: int) -> np.random.Generator:
-    """The dedicated RNG stream for one replication.
+    """The RNG stream keyed by the pair (seed, replication).
 
-    Seeding with the pair (seed, replication) makes every replication's
-    stream a pure function of those two integers: results cannot depend
-    on how replications are ordered or distributed.
+    The Monte Carlo loop draws the block of rows that starts at
+    replication r from this stream, so every draw is a pure function of
+    those two integers: results cannot depend on how blocks are ordered
+    or distributed.
     """
     seed = int(seed)
     replication = int(replication)
@@ -287,52 +307,49 @@ def replication_stream(seed: int, replication: int) -> np.random.Generator:
     return np.random.default_rng([seed, replication])
 
 
-def _sample_row(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
-    """Draw one replication's e-values (linear scale) from a scenario."""
-    if isinstance(scenario, IidTwoPoint):
-        return np.where(rng.random(scenario.n) < scenario.p, scenario.hi, scenario.lo)
-    if isinstance(scenario, IidLognormal):
-        sigma = scenario.sigma
-        return np.exp(sigma * rng.standard_normal(scenario.n) - 0.5 * sigma * sigma)
-    if isinstance(scenario, FactorScenario):
-        u = rng.random()
-        acc = 0.0
-        level = scenario.levels[-1]
-        for candidate in scenario.levels:
-            acc += candidate.prob
-            if u < acc:
-                level = candidate
-                break
-        return np.where(rng.random(scenario.n) < level.p, level.hi, level.lo)
-    if isinstance(scenario, AdversarialScenario):
-        if rng.random() < 0.5:
-            return np.array([2.0, 1.0])
-        second = 8.0 if rng.random() < 0.125 else 0.0
-        return np.array([0.0, second])
+def _sample_rows(scenario: Scenario, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """Log e-values of ``rows`` replications, a (rows, n) matrix.
+
+    Draws are taken row-major: n + 1 uniforms per two-point or factor
+    row (the level first), n standard normals per lognormal row and 2
+    uniforms per adversarial row.  The first R rows of a larger draw
+    from the same stream are therefore the R rows of a smaller one.
+    """
+    with np.errstate(divide="ignore"):
+        if isinstance(scenario, (IidTwoPoint, FactorScenario)):
+            u = rng.random((rows, scenario.n + 1))
+            levels = scenario.levels
+            cumulative = np.cumsum([level.prob for level in levels])
+            pick = np.searchsorted(cumulative, u[:, :1], side="right")
+            pick = np.minimum(pick, len(levels) - 1)
+            p, hi, lo = np.array([(lv.p, lv.hi, lv.lo) for lv in levels]).T
+            return np.where(u[:, 1:] < p[pick], np.log(hi)[pick], np.log(lo)[pick])
+        if isinstance(scenario, IidLognormal):
+            sigma = scenario.sigma
+            return sigma * rng.standard_normal((rows, scenario.n)) - 0.5 * sigma * sigma
+        if isinstance(scenario, AdversarialScenario):
+            u = rng.random((rows, 2))
+            tails = np.where(u[:, 1:] < 0.125, [LOG_ZERO, math.log(8.0)], LOG_ZERO)
+            return np.where(u[:, :1] < 0.5, [math.log(2.0), 0.0], tails)
     raise ConfigError(f"unknown scenario type: {type(scenario).__name__}")
 
 
 def generate(scenario: Scenario, rng: np.random.Generator) -> EValueVector:
     """Draw one replication from any scenario, tagged with its regime:
     independent for the iid families, simultaneous for the common
-    factor and sequential for the adversarial pair."""
-    values = _sample_row(scenario, rng)
-    if isinstance(scenario, FactorScenario):
-        regime = Regime.SIMULTANEOUS
-    elif isinstance(scenario, AdversarialScenario):
-        regime = Regime.SEQUENTIAL
-    else:
-        regime = Regime.INDEPENDENT
-    with np.errstate(divide="ignore"):
-        return EValueVector(np.log(values), regime)
+    factor and sequential for the adversarial pair.  This is the
+    rows = 1 call of the block sampler."""
+    log_values = _sample_rows(scenario, rng, 1)[0]
+    return EValueVector(log_values, scenario.regime)
 
 
-def _sample_matrix(scenario: Scenario, seed: int, replications: int) -> np.ndarray:
-    """Stack the per-replication draws into a (replications, n) matrix."""
-    rows = np.empty((replications, scenario.n))
-    for r in range(replications):
-        rows[r] = _sample_row(scenario, replication_stream(seed, r))
-    return rows
+def _sample_blocks(scenario: Scenario, seed: int, replications: int) -> Iterator[np.ndarray]:
+    """Log e-values of replications 0 .. replications - 1, one block of
+    at most ``_BLOCK`` rows at a time; the block starting at
+    replication r is drawn from ``replication_stream(seed, r)``."""
+    for start in range(0, replications, _BLOCK):
+        rows = min(_BLOCK, replications - start)
+        yield _sample_rows(scenario, replication_stream(seed, start), rows)
 
 
 # --------------------------------------------------------------------
@@ -360,8 +377,8 @@ class MonteCarloSummary:
 
     ``standard_error[k] = sqrt(r (1-r) / replications)`` for each rate
     r.  ``dominance_violations`` counts replications where the betting
-    test rejected but the max-average test did not; it is populated by
-    power runs and must be zero (the betting product never exceeds the
+    test rejected but the max-average test did not; every run audits
+    it, and it must be zero (the betting product never exceeds the
     best symmetric average).  ``elapsed`` is wall-clock seconds; it is
     the one field that varies between identically seeded runs, so
     serialized reports omit it.
@@ -373,7 +390,7 @@ class MonteCarloSummary:
     rejection_rate: dict[StatKind, float]
     standard_error: dict[StatKind, float]
     elapsed: float
-    dominance_violations: int | None = None
+    dominance_violations: int
 
 
 @dataclass(frozen=True)
@@ -401,32 +418,33 @@ def _checked_mc_args(alpha: float, replications: int, seed: int) -> tuple[float,
     return alpha, replications, seed
 
 
-def _rate_with_se(reject: np.ndarray) -> tuple[float, float]:
-    rate = float(np.mean(reject))
-    return rate, math.sqrt(rate * (1.0 - rate) / reject.size)
-
-
 def _run_batch(
     scenario: Scenario, alpha: float, replications: int, seed: int
-) -> tuple[MonteCarloSummary, np.ndarray, np.ndarray]:
+) -> MonteCarloSummary:
+    """Rejection counts and dominance violations, summed block by block."""
+    alpha, replications, seed = _checked_mc_args(alpha, replications, seed)
     started = time.perf_counter()
-    rows = _sample_matrix(scenario, seed, replications)
-    with np.errstate(divide="ignore"):
-        log_rows = np.log(rows)
-    reject = _reject_rows(log_rows, alpha)
-    rates: dict[StatKind, float] = {}
-    errors: dict[StatKind, float] = {}
-    for kind, flags in reject.items():
-        rates[kind], errors[kind] = _rate_with_se(flags)
-    summary = MonteCarloSummary(
+    rejected = dict.fromkeys(StatKind, 0)
+    violations = 0
+    for log_rows in _sample_blocks(scenario, seed, replications):
+        reject = _reject_rows(log_rows, alpha)
+        for kind, flags in reject.items():
+            rejected[kind] += int(np.count_nonzero(flags))
+        betting_only = reject[StatKind.OPTIMIZED_BETTING] & ~reject[StatKind.MAX_AVERAGE]
+        violations += int(np.count_nonzero(betting_only))
+    rates = {kind: count / replications for kind, count in rejected.items()}
+    return MonteCarloSummary(
         replications=replications,
         seed=seed,
         alpha=alpha,
         rejection_rate=rates,
-        standard_error=errors,
+        standard_error={
+            kind: math.sqrt(rate * (1.0 - rate) / replications)
+            for kind, rate in rates.items()
+        },
         elapsed=time.perf_counter() - started,
+        dominance_violations=violations,
     )
-    return summary, reject[StatKind.MAX_AVERAGE], reject[StatKind.OPTIMIZED_BETTING]
 
 
 def mc_type1(
@@ -437,16 +455,15 @@ def mc_type1(
     For independent and common-factor scenarios the two batch rates
     must stay within Monte Carlo noise of at most alpha; the
     adversarial sequential scenario is the documented exception (its
-    rate is 9/16 at alpha = 1/2).
+    rate is 9/16 at alpha = 1/2).  The dominance audit of
+    :func:`mc_power` runs here too.
     """
-    alpha, replications, seed = _checked_mc_args(alpha, replications, seed)
     if not scenario.is_null:
         raise ConfigError(
             "type-I verification requires a null scenario (mean at most 1); "
             "use mc_power for alternatives"
         )
-    summary, _, _ = _run_batch(scenario, alpha, replications, seed)
-    return summary
+    return _run_batch(scenario, alpha, replications, seed)
 
 
 def mc_power(
@@ -459,55 +476,78 @@ def mc_power(
     zero: pathwise, the betting product is a mixture of the symmetric
     averages and can never exceed their maximum.
     """
-    alpha, replications, seed = _checked_mc_args(alpha, replications, seed)
-    summary, reject_max, reject_bet = _run_batch(scenario, alpha, replications, seed)
-    violations = int(np.sum(reject_bet & ~reject_max))
-    return MonteCarloSummary(
-        replications=summary.replications,
-        seed=summary.seed,
-        alpha=summary.alpha,
-        rejection_rate=summary.rejection_rate,
-        standard_error=summary.standard_error,
-        elapsed=summary.elapsed,
-        dominance_violations=violations,
-    )
+    return _run_batch(scenario, alpha, replications, seed)
 
 
 # --------------------------------------------------------------------
 # demimartingale estimates
 
 
-def g_constant(c: float = 1.0) -> Callable[[np.ndarray], float]:
+def g_constant(c: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
     """g identically c (the weakest increasing function)."""
 
-    def g(prefix: np.ndarray) -> float:
-        return c
+    def g(prefix: np.ndarray) -> np.ndarray:
+        return np.full(prefix.shape[:-1], float(c))
 
     g.label = f"constant({c:g})"  # type: ignore[attr-defined]
     return g
 
 
-def g_threshold_indicator(t: float = 1.2) -> Callable[[np.ndarray], float]:
+def g_threshold_indicator(t: float = 1.2) -> Callable[[np.ndarray], np.ndarray]:
     """g = 1 when the latest average has reached t, else 0 (increasing)."""
 
-    def g(prefix: np.ndarray) -> float:
-        return 1.0 if prefix[-1] >= t else 0.0
+    def g(prefix: np.ndarray) -> np.ndarray:
+        return (prefix[..., -1] >= t).astype(float)
 
     g.label = f"indicator(A_k >= {t:g})"  # type: ignore[attr-defined]
     return g
 
 
-def g_clipped_identity(cap: float = 10.0) -> Callable[[np.ndarray], float]:
+def g_clipped_identity(cap: float = 10.0) -> Callable[[np.ndarray], np.ndarray]:
     """g = min(latest average, cap): increasing and bounded."""
 
-    def g(prefix: np.ndarray) -> float:
-        return float(min(prefix[-1], cap))
+    def g(prefix: np.ndarray) -> np.ndarray:
+        return np.minimum(prefix[..., -1], cap)
 
     g.label = f"min(A_k, {cap:g})"  # type: ignore[attr-defined]
     return g
 
 
-def _check_demimartingale_scenario(scenario: Scenario) -> None:
+def mc_demimartingale(
+    scenario: Scenario,
+    k: int,
+    g: Callable[[np.ndarray], np.ndarray],
+    replications: int,
+    seed: int,
+) -> EstimateWithError:
+    """Monte Carlo estimate of E[(A_{k+1} - A_k) g(A_0, ..., A_k)]: the
+    single-pair call of :func:`mc_demimartingale_sweep`."""
+    return mc_demimartingale_sweep(scenario, [k], [g], replications, seed)[0]
+
+
+def mc_demimartingale_sweep(
+    scenario: Scenario,
+    ks: Iterable[int],
+    gs: Iterable[Callable[[np.ndarray], np.ndarray]],
+    replications: int,
+    seed: int,
+) -> list[EstimateWithError]:
+    """Estimates of E[(A_{k+1} - A_k) g(A_0, ..., A_k)] for every pair
+    (k, g), k-major, from one shared sample.
+
+    Under iid mean-1 entries and componentwise increasing bounded g the
+    expectation is nonnegative (the averages form a demimartingale), so
+    estimates should sit above -3 standard errors.  Monotonicity and
+    boundedness of g are the caller's contract; they cannot be checked
+    from a black-box callable.
+
+    g is row-wise: it receives a block's (rows, k + 1) matrix of the
+    averages A_0 .. A_k, one row per replication, and returns one value
+    per row (an array that broadcasts to shape (rows,)).  The factories
+    here read the last column, ``prefix[..., -1]``.  Each estimate keeps
+    only running sums of its samples and their squares, so a pair's
+    result does not depend on the other pairs in the sweep.
+    """
     if not isinstance(scenario, (IidTwoPoint, IidLognormal)):
         raise ConfigError(
             "demimartingale estimates require an iid scenario: the "
@@ -517,79 +557,6 @@ def _check_demimartingale_scenario(scenario: Scenario) -> None:
         raise ConfigError(
             f"demimartingale estimates require mean exactly 1, got {scenario.mean}"
         )
-
-
-def _demimartingale_estimate(
-    averages: np.ndarray,
-    k: int,
-    g: Callable[[np.ndarray], float],
-    seed: int,
-) -> EstimateWithError:
-    replications = averages.shape[0]
-    deltas = averages[:, k + 1] - averages[:, k]
-    g_values = np.fromiter(
-        (g(averages[r, : k + 1]) for r in range(replications)),
-        dtype=float,
-        count=replications,
-    )
-    samples = deltas * g_values
-    estimate = float(np.mean(samples))
-    spread = float(np.std(samples, ddof=1)) if replications > 1 else 0.0
-    return EstimateWithError(
-        estimate=estimate,
-        standard_error=spread / math.sqrt(replications),
-        replications=replications,
-        seed=seed,
-        k=k,
-        g_label=getattr(g, "label", getattr(g, "__name__", "g")),
-    )
-
-
-def _averages_matrix(scenario: Scenario, seed: int, replications: int) -> np.ndarray:
-    rows = _sample_matrix(scenario, seed, replications)
-    with np.errstate(divide="ignore"):
-        log_rows = np.log(rows)
-    return np.exp(log_averages_batch(log_rows)[1])
-
-
-def mc_demimartingale(
-    scenario: Scenario,
-    k: int,
-    g: Callable[[np.ndarray], float],
-    replications: int,
-    seed: int,
-) -> EstimateWithError:
-    """Monte Carlo estimate of E[(A_{k+1} - A_k) g(A_0, ..., A_k)].
-
-    Under iid mean-1 entries and componentwise increasing bounded g the
-    expectation is nonnegative (the averages form a demimartingale), so
-    estimates should sit above -3 standard errors.  Monotonicity and
-    boundedness of g are the caller's contract; they cannot be checked
-    from a black-box callable.
-    """
-    _check_demimartingale_scenario(scenario)
-    _, replications, seed = _checked_mc_args(0.5, replications, seed)
-    k = int(k)
-    if not 0 <= k <= scenario.n - 1:
-        raise ConfigError(f"k must lie in [0, n-1] = [0, {scenario.n - 1}], got {k}")
-    averages = _averages_matrix(scenario, seed, replications)
-    return _demimartingale_estimate(averages, k, g, seed)
-
-
-def mc_demimartingale_sweep(
-    scenario: Scenario,
-    ks: Iterable[int],
-    gs: Iterable[Callable[[np.ndarray], float]],
-    replications: int,
-    seed: int,
-) -> list[EstimateWithError]:
-    """All (k, g) estimates from one shared sample.
-
-    Identical to calling :func:`mc_demimartingale` for every pair with
-    the same seed (the per-replication streams make the samples agree
-    draw for draw), but the replication matrix is built once.
-    """
-    _check_demimartingale_scenario(scenario)
     _, replications, seed = _checked_mc_args(0.5, replications, seed)
     ks = [int(k) for k in ks]
     for k in ks:
@@ -598,9 +565,30 @@ def mc_demimartingale_sweep(
                 f"k must lie in [0, n-1] = [0, {scenario.n - 1}], got {k}"
             )
     gs = list(gs)
-    averages = _averages_matrix(scenario, seed, replications)
+    pairs = [(k, g) for k in ks for g in gs]
+    sums, squares = np.zeros(len(pairs)), np.zeros(len(pairs))
+    for log_rows in _sample_blocks(scenario, seed, replications):
+        averages = np.exp(log_averages_batch(log_rows)[1])
+        for i, (k, g) in enumerate(pairs):
+            deltas = averages[:, k + 1] - averages[:, k]
+            samples = deltas * np.broadcast_to(g(averages[:, : k + 1]), deltas.shape)
+            sums[i] += samples.sum()
+            squares[i] += (samples * samples).sum()
+    means = sums / replications
+    if replications > 1:
+        spreads = np.sqrt(np.maximum(squares - sums * means, 0.0) / (replications - 1))
+    else:
+        spreads = np.zeros(len(pairs))
     return [
-        _demimartingale_estimate(averages, k, g, seed) for k in ks for g in gs
+        EstimateWithError(
+            estimate=float(mean),
+            standard_error=float(spread) / math.sqrt(replications),
+            replications=replications,
+            seed=seed,
+            k=k,
+            g_label=getattr(g, "label", getattr(g, "__name__", "g")),
+        )
+        for (k, g), mean, spread in zip(pairs, means, spreads)
     ]
 
 
@@ -637,21 +625,17 @@ def _reject_exact(
     return poly_max_reaches(values, threshold)
 
 
-def _iid_rejection_probability(
-    p: Fraction,
-    hi: Fraction,
-    lo: Fraction,
-    n: int,
-    threshold: Fraction,
-    statistic_kind: StatKind,
+def _level_rejection_probability(
+    level: FactorLevel, n: int, threshold: Fraction, statistic_kind: StatKind
 ) -> Fraction:
-    """Sum of P(outcome class) over rejecting classes of an iid
-    two-point law.
+    """Sum of P(outcome class) over rejecting classes of n iid draws
+    from a level's two-point law.
 
     Both batch statistics are permutation invariant, so the 2^n
     outcomes collapse into n+1 classes by the count of hi entries, each
     carrying a binomial weight.
     """
+    p, hi, lo = (_decimal_fraction(v) for v in (level.p, level.hi, level.lo))
     total = Fraction(0)
     q = 1 - p
     for count in range(n + 1):
@@ -703,39 +687,18 @@ def enumerate_exact(
                 total += prob
         return total
 
-    if isinstance(scenario, IidTwoPoint):
-        if 2**scenario.n > MAX_ENUMERATION_OUTCOMES:
-            raise ConfigError(
-                f"outcome space 2^{scenario.n} exceeds the enumeration "
-                f"limit of {MAX_ENUMERATION_OUTCOMES}"
-            )
-        return _iid_rejection_probability(
-            _decimal_fraction(scenario.p),
-            _decimal_fraction(scenario.hi),
-            _decimal_fraction(scenario.lo),
-            scenario.n,
-            threshold,
-            statistic_kind,
+    if not isinstance(scenario, (IidTwoPoint, FactorScenario)):
+        raise ConfigError(
+            f"scenario {type(scenario).__name__} does not have finite support"
         )
-
-    if isinstance(scenario, FactorScenario):
-        if len(scenario.levels) * 2**scenario.n > MAX_ENUMERATION_OUTCOMES:
-            raise ConfigError(
-                f"outcome space exceeds the enumeration limit of "
-                f"{MAX_ENUMERATION_OUTCOMES}"
-            )
-        total = Fraction(0)
-        for level in scenario.levels:
-            total += _decimal_fraction(level.prob) * _iid_rejection_probability(
-                _decimal_fraction(level.p),
-                _decimal_fraction(level.hi),
-                _decimal_fraction(level.lo),
-                scenario.n,
-                threshold,
-                statistic_kind,
-            )
-        return total
-
-    raise ConfigError(
-        f"scenario {type(scenario).__name__} does not have finite support"
-    )
+    if len(scenario.levels) * 2**scenario.n > MAX_ENUMERATION_OUTCOMES:
+        raise ConfigError(
+            f"outcome space {len(scenario.levels)} x 2^{scenario.n} exceeds "
+            f"the enumeration limit of {MAX_ENUMERATION_OUTCOMES}"
+        )
+    total = Fraction(0)
+    for level in scenario.levels:
+        total += _decimal_fraction(level.prob) * _level_rejection_probability(
+            level, scenario.n, threshold, statistic_kind
+        )
+    return total

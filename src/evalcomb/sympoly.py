@@ -40,6 +40,8 @@ __all__ = [
     "identity_residuals",
 ]
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 
 def log_esp(log_values: np.ndarray) -> np.ndarray:
     """log S_0 .. log S_n for one vector of log e-values: the rows = 1
@@ -196,16 +198,19 @@ def identity_residuals(E: EValueVector) -> np.ndarray:
 
     where E_-i drops entry i.  Both sides are evaluated in linear
     domain (the right side is a signed sum, so log tricks do not
-    apply); entries must be finite and of moderate magnitude.  Entry k
-    of the result is (lhs - rhs) / max(1, A_k, A_{k+1}).
+    apply), so every symmetric sum S_k must fit in a float; that also
+    bounds the averages and the leave-one-out sums.  Entry k of the
+    result is (lhs - rhs) / max(1, A_k, A_{k+1}).
     """
     n = E.n
-    e = E.values
-    if not np.isfinite(e).all():
+    log_S, log_A = (v[0] for v in log_averages_batch(E.log_values[None]))
+    if not (log_S < _LOG_FLOAT_MAX).all():
         raise ValidationError(
-            "identity check requires finite e-values that fit in linear scale"
+            "identity check requires finite e-values whose symmetric sums "
+            "fit in linear scale"
         )
-    A = np.exp(log_averages_batch(E.log_values[None])[1][0])
+    e = E.values
+    A = np.exp(log_A)
     loo = np.empty((n, n - 1))
     for i in range(n):
         loo[i, :i] = E.log_values[:i]

@@ -120,6 +120,19 @@ class TestOptimizeLambda:
         assert opt.achieved_tol <= 1e-6
         assert abs(opt.lambda_star - 3.0 / 7.0) <= 1e-6 + 1e-12
 
+    @pytest.mark.parametrize("gap", [1e-13, 1e-11, 1e-9])
+    def test_root_next_to_one_takes_few_steps(self, gap):
+        """(0.5, 2 - gap, 2 - gap) peaks at lam = (4 - 1/(1 - gap)) / 3,
+        about gap/3 below 1, where Newton steps from below overshoot
+        lam = 1: the search must not fall back to thirty-odd bisections."""
+        opt = optimize_lambda(validate_evalues([0.5, 2.0 - gap, 2.0 - gap]))
+        exact = (4.0 - 1.0 / (1.0 - gap)) / 3.0
+        assert opt.boundary is Boundary.INTERIOR
+        assert opt.iterations <= 12
+        assert abs(opt.lambda_star - exact) <= opt.achieved_tol + 1e-15
+        log_value = 2.0 * math.log1p(exact * (1.0 - gap)) + math.log1p(-0.5 * exact)
+        assert opt.log_value.log_magnitude == pytest.approx(log_value, rel=1e-12)
+
     def test_bad_tolerance(self):
         with pytest.raises(ConfigError):
             optimize_lambda(validate_evalues([1.0]), tol=0.0)

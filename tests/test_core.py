@@ -82,6 +82,33 @@ class TestValidateEvalues:
         with pytest.raises(ValidationError):
             validate_evalues([])
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [2.0, 0.0, math.inf, 5e-324, 1e308],
+            [1.0, float("nan"), -1.0],
+            [1.0, 3.0, -0.1],
+            [],
+            [[1.0, 2.0]],
+            [True, False],
+            [3, 0, 7],
+        ],
+        ids=str,
+    )
+    def test_ndarray_and_list_agree(self, values):
+        """Arrays skip the list copy but give the same vector or error."""
+
+        def outcome(raw):
+            try:
+                return validate_evalues(raw).log_values.tolist()
+            except ValidationError as exc:
+                return str(exc)
+
+        expected = outcome(values)
+        assert outcome(np.array(values)) == expected
+        assert outcome(np.array(values, dtype=float)) == expected
+        assert outcome(iter(values)) == expected
+
 
 class TestEValueVector:
     def test_two_dimensional_rejected(self):

@@ -19,7 +19,9 @@ from evalcomb.betting import (
     score_derivative,
 )
 from evalcomb.core import validate_evalues
+from evalcomb.errors import ValidationError
 from evalcomb.sympoly import (
+    identity_residuals,
     log_averages_batch,
     log_esp,
     mixture_value,
@@ -36,6 +38,7 @@ EDGE_VECTORS = [
     [math.inf, 0.5, 0.0],
     [1e-320, 5.0],
     [5e-324, 1e-310, 3.0],
+    [1e308, 1e308],
     [1e308, 1e308, 0.5],
     [1e308, 0.0, 3.0],
     [1e-308, 1e-308],
@@ -71,3 +74,19 @@ def test_public_statistics_are_warning_clean(values):
             test_optimized_betting(ev, alpha)
             test_ville(ev, 0.5, alpha)
             test_ville(ev, steps, alpha)
+
+
+@pytest.mark.parametrize("values", EDGE_VECTORS, ids=str)
+def test_identity_residuals_vanish_or_refuse(values):
+    """The identity check works in linear scale: it either gives
+    near-zero residuals or refuses sums beyond the float range, but
+    never leaks an overflow."""
+    ev = validate_evalues(values)
+    sums_fit = all(s.value < math.inf for s in symmetric_sums(ev))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if sums_fit:
+            assert np.max(np.abs(identity_residuals(ev))) < 1e-10
+        else:
+            with pytest.raises(ValidationError):
+                identity_residuals(ev)

@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from evalcomb import simlab
 from evalcomb.betting import log_wealth, optimize_lambda, optimize_lambda_batch
 from evalcomb.core import EValueVector, Regime
 from evalcomb.errors import ConfigError
@@ -16,8 +18,10 @@ from evalcomb.simlab import (
     IidTwoPoint,
     MAX_ENUMERATION_OUTCOMES,
     VILLE_DEFAULT_LAMBDA,
+    _BLOCK,
     _reject_rows,
-    _sample_matrix,
+    _sample_blocks,
+    _sample_rows,
     default_factor_scenario,
     enumerate_exact,
     g_clipped_identity,
@@ -163,15 +167,73 @@ class TestGenerators:
         with pytest.raises(ConfigError):
             generate(object(), replication_stream(0, 0))
 
-    def test_sample_matrix_matches_public_generator(self):
-        """The batched sampler must realize exactly the same draws as the
-        public per-replication generator."""
-        for scenario in (NULL_TP, IidLognormal(0.7, 4), default_factor_scenario(5),
-                         AdversarialScenario()):
-            rows = _sample_matrix(scenario, seed=13, replications=8)
-            for r in range(8):
+
+FAMILIES = (NULL_TP, IidLognormal(0.7, 4), default_factor_scenario(5), AdversarialScenario())
+
+
+def _sample(scenario, seed, replications):
+    return np.concatenate(list(_sample_blocks(scenario, seed, replications)))
+
+
+class TestBlockSampler:
+    def test_block_starts_match_public_generator(self):
+        """Block b starts with what the public generator draws from
+        replication_stream(seed, b * _BLOCK)."""
+        for scenario in FAMILIES:
+            rows = _sample(scenario, 13, 2 * _BLOCK + 5)
+            assert rows.shape == (2 * _BLOCK + 5, scenario.n)
+            for r in (0, _BLOCK, 2 * _BLOCK):
                 ev = generate(scenario, replication_stream(13, r))
-                np.testing.assert_array_equal(rows[r], ev.values)
+                np.testing.assert_array_equal(rows[r], ev.log_values)
+
+    def test_sample_is_a_prefix_of_a_larger_one(self):
+        for scenario in FAMILIES:
+            large = _sample(scenario, 21, 2 * _BLOCK + 1)
+            for replications in (_BLOCK - 2, _BLOCK + 3):
+                np.testing.assert_array_equal(
+                    _sample(scenario, 21, replications), large[:replications]
+                )
+
+    def test_draws_per_row(self):
+        """n + 1 uniforms per two-point or factor row, n normals per
+        lognormal row, 2 uniforms per adversarial row."""
+        draws = (
+            lambda rng, rows: rng.random(rows * 7),  # two-point, n = 6
+            lambda rng, rows: rng.standard_normal(rows * 4),  # lognormal, n = 4
+            lambda rng, rows: rng.random(rows * 6),  # factor, n = 5
+            lambda rng, rows: rng.random(rows * 2),  # adversarial
+        )
+        for scenario, draw in zip(FAMILIES, draws):
+            rng, reference = replication_stream(3, 0), replication_stream(3, 0)
+            _sample_rows(scenario, rng, 7)
+            draw(reference, 7)
+            assert rng.random() == reference.random()
+
+    def test_one_stream_per_block(self, monkeypatch):
+        calls = []
+
+        def counting_stream(seed, replication):
+            calls.append(replication)
+            return replication_stream(seed, replication)
+
+        monkeypatch.setattr(simlab, "replication_stream", counting_stream)
+        for replications in (1, _BLOCK, _BLOCK + 1, 3 * _BLOCK - 1):
+            calls.clear()
+            mc_type1(NULL_TP, 0.1, replications, seed=4)
+            blocks = math.ceil(replications / _BLOCK)
+            assert calls == [b * _BLOCK for b in range(blocks)]
+
+    def test_memory_does_not_grow_with_replications(self):
+        def peak(blocks):
+            tracemalloc.start()
+            try:
+                mc_type1(NULL_TP, 0.1, blocks * _BLOCK, seed=5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        mc_type1(NULL_TP, 0.1, _BLOCK, seed=5)
+        assert peak(16) <= 1.25 * peak(2)
 
 
 # ----- the single-vector ops are the batch kernels' rows = 1 case -----
@@ -203,7 +265,7 @@ def _log_matrices():
     for seed, scenario in enumerate(
         (NULL_TP, default_factor_scenario(7), IidLognormal(1.5, 5), AdversarialScenario())
     ):
-        yield _log(_sample_matrix(scenario, seed, 64))
+        yield _sample_rows(scenario, replication_stream(seed, 0), 64)
     yield _log(EDGE_ROWS)
 
 
@@ -317,9 +379,9 @@ class TestMonteCarlo:
             == s.rejection_rate[StatKind.OPTIMIZED_BETTING]
         )
 
-    def test_type1_summary_has_no_dominance_field(self):
+    def test_type1_runs_the_dominance_audit(self):
         s = mc_type1(NULL_TP, 0.1, 200, seed=0)
-        assert s.dominance_violations is None
+        assert s.dominance_violations == 0
 
     def test_rates_at_the_closed_threshold(self):
         """Two draws from {0, 8} with P(8) = 1/8: the max average of
