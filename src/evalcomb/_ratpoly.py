@@ -1,164 +1,214 @@
-"""Exact rational polynomials: arithmetic, Sturm chains, reachability.
+"""Exact decisions on rational e-values: symmetric sums, betting
+polynomials, Sturm chains.
 
-Support for the exact enumerator: betting products of finitely many
-rational e-values are polynomials in the betting fraction with rational
-coefficients, so "does sup over [0, 1] reach the threshold t" is
-decidable exactly.  Endpoints are checked directly; interior crossings
-of the level t are detected by counting real roots of M(lam) - t in
-(0, 1) with a Sturm chain on the squarefree part, which also counts a
-tangent (touch-only) maximum exactly once.
+Support for the exact enumerator.  Entries a_i / D are brought to one
+common denominator D once; after that every step works on Python ints:
 
-Polynomials are dense lists of Fractions, index = degree of the term.
+* the elementary symmetric sums are e_k(a) / D^k, so "does the average
+  A_k reach t = tn / td" is td e_k(a) >= tn C(n, k) D^k;
+* the betting product prod_i (1 + (E_i - 1) lam) is P(lam) / D^n with
+  P = prod_i (D + (a_i - D) lam), so "does sup over [0, 1] reach t"
+  asks whether td P - tn D^n is >= 0 at an endpoint or has a root in
+  (0, 1).  Interior roots are counted with a Sturm chain on the
+  squarefree part, which also counts a tangent (touch-only) maximum
+  exactly once.
+
+The Sturm chain is a primitive pseudo-remainder sequence (Collins,
+"Subresultants and reduced polynomial remainder sequences", 1967): the
+next member is the remainder of |lc|^(delta + 1) times the dividend,
+which is integral, negated and divided by its positive content.
+Positive factors change no sign, so the chain counts roots exactly like
+the rational one, and no fraction is ever formed.
+
+Polynomials are dense lists of ints, index = degree of the term; the
+zero polynomial is ``[0]``.  The public functions also take Fraction
+coefficients and values.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
-    "poly_eval",
-    "poly_mul",
-    "poly_derivative",
-    "poly_divmod",
     "sturm_chain",
     "count_roots_between",
     "betting_poly",
     "esp_fractions",
     "poly_max_reaches",
+    "max_average_reaches",
 ]
 
-Poly = list[Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Poly = list[int]
 
 
-def _trim(p: Sequence[Fraction]) -> Poly:
-    out = list(p)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+def _trim(p: Poly) -> Poly:
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return p
 
 
-def _is_zero(p: Poly) -> bool:
-    return len(p) == 1 and p[0] == 0
+def _primitive(p: Poly) -> Poly:
+    """p divided by its positive content (the gcd of its coefficients)."""
+    g = math.gcd(*p)
+    return p if g <= 1 else [c // g for c in p]
 
 
-def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = _ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(out)
-
-
-def poly_derivative(p: Sequence[Fraction]) -> Poly:
+def _derivative(p: Poly) -> Poly:
     if len(p) <= 1:
-        return [_ZERO]
-    return _trim([c * k for k, c in enumerate(p)][1:])
+        return [0]
+    return [k * c for k, c in enumerate(p)][1:]
 
 
-def poly_divmod(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Poly, Poly]:
-    q = _trim(q)
-    if _is_zero(q):
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quot = [_ZERO] * max(1, len(rem) - len(q) + 1)
-    dq = len(q) - 1
-    lead = q[-1]
-    while len(_trim(rem)) - 1 >= dq and not _is_zero(_trim(rem)):
-        rem = _trim(rem)
-        shift = len(rem) - 1 - dq
-        factor = rem[-1] / lead
+def _pseudo_remainder(a: Poly, b: Poly) -> Poly:
+    """The remainder of a positive multiple of a divided by b.
+
+    Each step scales the running remainder by |lc(b)|, so the result is
+    |lc(b)|^s a mod b for the s <= delta + 1 steps taken: a positive
+    multiple of the remainder of |lc(b)|^(delta + 1) a.
+    """
+    r = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    scale, sign = abs(lead), 1 if lead > 0 else -1
+    while len(r) - 1 >= db and r != [0]:
+        shift = len(r) - 1 - db
+        factor = sign * r[-1]
+        r = [scale * c for c in r]
+        for j, c in enumerate(b):
+            r[shift + j] -= factor * c
+        _trim(r)
+    return r
+
+
+def _exact_quotient(a: Poly, b: Poly) -> Poly:
+    """a / b for an integer polynomial b that divides a with an integer
+    quotient."""
+    r = list(a)
+    db = len(b) - 1
+    quot = [0] * (len(a) - db)
+    for shift in range(len(quot) - 1, -1, -1):
+        factor = r[shift + db] // b[-1]
         quot[shift] = factor
-        for j, c in enumerate(q):
-            rem[shift + j] -= factor * c
-    return _trim(quot), _trim(rem)
-
-
-def _poly_gcd(p: Poly, q: Poly) -> Poly:
-    a, b = _trim(p), _trim(q)
-    while not _is_zero(b):
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if _is_zero(a):
-        return a
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _squarefree(p: Poly) -> Poly:
-    p = _trim(p)
-    if len(p) <= 1:
-        return p
-    g = _poly_gcd(p, poly_derivative(p))
-    if len(g) <= 1:
-        return p
-    quot, rem = poly_divmod(p, g)
-    assert _is_zero(rem), "gcd must divide exactly"
+        for j, c in enumerate(b):
+            r[shift + j] -= factor * c
     return quot
 
 
-def sturm_chain(p: Sequence[Fraction]) -> list[Poly]:
-    """The Sturm chain of the squarefree part of p."""
-    p0 = _squarefree(_trim(list(p)))
-    chain = [p0]
-    if len(p0) <= 1:
-        return chain
-    chain.append(poly_derivative(p0))
-    while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if _is_zero(r):
+def _remainder_sequence(p0: Poly) -> list[Poly]:
+    """p0, p0', then negated primitive pseudo-remainders until one
+    vanishes; the last member is gcd(p0, p0') up to a constant."""
+    chain = [p0, _primitive(_derivative(p0))]
+    while len(chain[-1]) > 1:
+        r = _pseudo_remainder(chain[-2], chain[-1])
+        if r == [0]:
             break
-        chain.append([-c for c in r])
+        chain.append(_primitive([-c for c in r]))
     return chain
 
 
-def _sign_changes(chain: list[Poly], x: Fraction) -> int:
-    signs = []
+def _rational(x: int | Fraction) -> int | Fraction:
+    """x as an int or Fraction, converting anything else exactly."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def _common_numerators(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """Integers a_i and one D > 0 with values[i] == a_i / D."""
+    values = [_rational(v) for v in values]
+    # A set, not a generator: CPython builds the argument tuple from a
+    # generator at a guessed size and resizes it, and the resized tuples
+    # pile up in its per-size free lists (megabytes over a few thousand
+    # calls).
+    den = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def sturm_chain(p: Sequence[int | Fraction]) -> list[Poly]:
+    """The Sturm chain of the squarefree part of p, as a primitive
+    pseudo-remainder sequence of integer polynomials."""
+    # integer coefficients of a positive multiple of p
+    p0 = _primitive(_trim(_common_numerators(p)[0]))
+    if len(p0) <= 1:
+        return [p0]
+    chain = _remainder_sequence(p0)
+    if len(chain[-1]) > 1:
+        # p0 has a repeated root: restart from p0 / gcd(p0, p0'), which
+        # Gauss's lemma makes an integer polynomial.
+        chain = _remainder_sequence(_primitive(_exact_quotient(p0, chain[-1])))
+    return chain
+
+
+def _sign_changes(chain: list[Poly], x: int | Fraction) -> int:
+    """Sign changes along the chain at x = num / den, zeros skipped.
+
+    Each member is evaluated as den^d p(num / den), which has the sign
+    of p(x) because den > 0.
+    """
+    num, den = x.numerator, x.denominator
+    changes, last = 0, 0
     for p in chain:
-        v = poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        acc, power = p[-1], 1
+        for c in reversed(p[:-1]):
+            power *= den
+            acc = acc * num + c * power
+        if acc:
+            sign = 1 if acc > 0 else -1
+            changes += last == -sign
+            last = sign
+    return changes
 
 
-def count_roots_between(p: Sequence[Fraction], a: Fraction, b: Fraction) -> int:
+def count_roots_between(
+    p: Sequence[int | Fraction], a: int | Fraction, b: int | Fraction
+) -> int:
     """Number of distinct real roots of p in the half-open interval (a, b]."""
     chain = sturm_chain(p)
-    return _sign_changes(chain, a) - _sign_changes(chain, b)
+    return _sign_changes(chain, _rational(a)) - _sign_changes(chain, _rational(b))
 
 
-def betting_poly(values: Sequence[Fraction]) -> Poly:
-    """Coefficients of prod_i (1 + (E_i - 1) lam) as a polynomial in lam."""
-    poly: Poly = [_ONE]
-    for v in values:
-        poly = poly_mul(poly, [_ONE, Fraction(v) - 1])
-    return poly
+def betting_poly(values: Sequence[int | Fraction]) -> tuple[Poly, int]:
+    """(P, scale) with prod_i (1 + (E_i - 1) lam) == P(lam) / scale.
+
+    P has integer coefficients, index = degree, and scale = D^n for the
+    common denominator D of the entries.
+    """
+    nums, den = _common_numerators(values)
+    poly = [1]
+    for a in nums:
+        slope = a - den
+        poly = [den * c + slope * b for c, b in zip(poly + [0], [0] + poly)]
+    return _trim(poly), den ** len(nums)
 
 
-def esp_fractions(values: Sequence[Fraction]) -> list[Fraction]:
-    """Exact elementary symmetric sums S_0 .. S_n of rational values."""
-    s: list[Fraction] = [_ONE]
-    for v in values:
-        v = Fraction(v)
-        s.append(_ZERO)
+def _esp_integers(nums: Sequence[int]) -> list[int]:
+    s = [1]
+    for a in nums:
+        s.append(0)
         for j in range(len(s) - 1, 0, -1):
-            s[j] += v * s[j - 1]
+            s[j] += a * s[j - 1]
     return s
 
 
-def poly_max_reaches(values: Sequence[Fraction], t: Fraction) -> bool:
+def esp_fractions(values: Sequence[int | Fraction]) -> list[Fraction]:
+    """Exact elementary symmetric sums S_0 .. S_n of rational values."""
+    nums, den = _common_numerators(values)
+    return [Fraction(s, den**k) for k, s in enumerate(_esp_integers(nums))]
+
+
+def max_average_reaches(values: Sequence[int | Fraction], t: int | Fraction) -> bool:
+    """Exact decision: does max over k of A_k = S_k / C(n, k) reach the
+    threshold t (closed comparison)?"""
+    t = _rational(t)
+    nums, den = _common_numerators(values)
+    n = len(nums)
+    return any(
+        t.denominator * s >= t.numerator * math.comb(n, k) * den**k
+        for k, s in enumerate(_esp_integers(nums))
+    )
+
+
+def poly_max_reaches(values: Sequence[int | Fraction], t: int | Fraction) -> bool:
     """Exact decision: does sup over lam in [0, 1] of the betting
     product reach the threshold t (closed comparison)?
 
@@ -168,15 +218,11 @@ def poly_max_reaches(values: Sequence[Fraction], t: Fraction) -> bool:
     least t; no root and both endpoints below t means it never gets
     there.
     """
-    t = Fraction(t)
-    values = [Fraction(v) for v in values]
-    at_zero = _ONE
-    if at_zero >= t:
+    t = _rational(t)
+    poly, scale = betting_poly(values)
+    # td P(lam) - tn D^n has the sign of M(lam) - t.
+    shifted = [t.denominator * c for c in poly]
+    shifted[0] -= t.numerator * scale
+    if shifted[0] >= 0 or sum(shifted) >= 0:  # lam = 0, lam = 1
         return True
-    poly = betting_poly(values)
-    at_one = poly_eval(poly, _ONE)
-    if at_one >= t:
-        return True
-    shifted = list(poly)
-    shifted[0] -= t
-    return count_roots_between(shifted, Fraction(0), Fraction(1)) > 0
+    return count_roots_between(shifted, 0, 1) > 0

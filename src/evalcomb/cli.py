@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import __version__
 from .core import EValueVector, Regime
 from .errors import ConfigError, EvalcombError, ValidationError
 from .simlab import (
@@ -49,12 +50,20 @@ __all__ = ["main", "build_parser", "parse_scenario"]
 _DEFAULT_STATS = "max_average,optimized_betting"
 
 
+class _Done(Exception):
+    """--help or --version has printed its text; main returns 0."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as ConfigError (exit 3)
-    instead of calling sys.exit itself."""
+    """argparse that reports usage problems as ConfigError (exit 3),
+    and the end of --help or --version as _Done, instead of calling
+    sys.exit itself."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise ConfigError(message)
+
+    def exit(self, status: int = 0, message: str | None = None) -> None:  # type: ignore[override]
+        raise _Done
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="evalcomb",
         description="Combine batches of e-values with anytime-valid guarantees.",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     combine = sub.add_parser(
@@ -422,6 +432,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_enumerate(args)
+    except _Done:
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -163,14 +163,19 @@ def validate_evalues(
     """Check a sequence of candidate e-values and wrap it.
 
     Every entry must be a nonnegative number; ``inf`` is allowed, NaN
-    and negatives are not.  The error message names the position
+    and negatives are not, and complex input is refused even with zero
+    imaginary parts.  The error message names the position
     (0-based) of the first offending entry.  Numeric ndarrays are read
     without a copy; other iterables, generators among them, are listed
     first.
     """
-    if not (isinstance(raw, np.ndarray) and raw.dtype.kind in "biuf"):
-        raw = list(raw)
     try:
+        if not (isinstance(raw, np.ndarray) and raw.dtype.kind in "biuf"):
+            raw = list(raw)
+            dtype = np.asarray(raw).dtype
+            if dtype.kind == "c":
+                # a float conversion would drop the imaginary parts
+                raise ValidationError(f"e-values must be real numbers, got {dtype}")
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"e-values must all be numbers: {exc}") from exc

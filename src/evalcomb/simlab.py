@@ -22,6 +22,7 @@ O(``_BLOCK`` * n) whatever the number of replications.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from typing import Callable, ClassVar, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from ._ratpoly import esp_fractions, poly_max_reaches
+from ._ratpoly import max_average_reaches, poly_max_reaches
 from .betting import log_wealth, optimize_lambda_batch
 from .core import LOG_ZERO, EValueVector, Regime
 from .errors import ConfigError
@@ -617,11 +618,7 @@ def _reject_exact(
     values: Sequence[Fraction], threshold: Fraction, statistic_kind: StatKind
 ) -> bool:
     if statistic_kind is StatKind.MAX_AVERAGE:
-        n = len(values)
-        sums = esp_fractions(values)
-        return any(
-            sums[k] >= threshold * math.comb(n, k) for k in range(n + 1)
-        )
+        return max_average_reaches(values, threshold)
     return poly_max_reaches(values, threshold)
 
 
@@ -633,19 +630,27 @@ def _level_rejection_probability(
 
     Both batch statistics are permutation invariant, so the 2^n
     outcomes collapse into n+1 classes by the count of hi entries, each
-    carrying a binomial weight.
+    carrying a binomial weight.  Both are also nondecreasing in every
+    entry, so with hi >= lo the rejecting classes are those from some
+    count on; bisection finds it in about log2(n + 2) exact decisions.
     """
     p, hi, lo = (_decimal_fraction(v) for v in (level.p, level.hi, level.lo))
-    total = Fraction(0)
-    q = 1 - p
-    for count in range(n + 1):
-        weight = math.comb(n, count) * p**count * q ** (n - count)
-        if weight == 0:
-            continue
-        values = [hi] * count + [lo] * (n - count)
-        if _reject_exact(values, threshold, statistic_kind):
-            total += weight
-    return total
+    if hi < lo:
+        p, hi, lo = 1 - p, lo, hi
+    first = bisect.bisect_left(
+        range(n + 1),
+        True,
+        key=lambda count: _reject_exact(
+            [hi] * count + [lo] * (n - count), threshold, statistic_kind
+        ),
+    )
+    # weight of count c: C(n, c) p^c (1 - p)^(n - c), over one denominator
+    pn, pd = p.numerator, p.denominator
+    qn = pd - pn
+    return Fraction(
+        sum(math.comb(n, c) * pn**c * qn ** (n - c) for c in range(first, n + 1)),
+        pd**n,
+    )
 
 
 _ADVERSARIAL_LAW: tuple[tuple[tuple[Fraction, Fraction], Fraction], ...] = (
@@ -663,8 +668,9 @@ def enumerate_exact(
     """Exact rejection probability of a batch statistic at a threshold.
 
     Walks the scenario's finite outcome space with rational
-    probabilities and decides each outcome's statistic exactly, so the
-    result is a Fraction with zero numerical error.  Works for the two
+    probabilities, in outcome classes, and decides the statistic
+    exactly wherever the sum needs it, so the result is a Fraction with
+    zero numerical error.  Works for the two
     permutation-invariant batch statistics; the sequential statistic
     depends on outcome order and is not offered here.
     """

@@ -55,15 +55,18 @@ def _run_cli(*args: str) -> tuple[subprocess.CompletedProcess, float]:
 
 
 def _best_times(fns, rounds: int) -> list[float]:
-    """Pooled minimum wall time per callable, interleaving the rounds."""
+    """Pooled minimum CPU time of the calling thread per callable,
+    interleaving the rounds.  Thread CPU time leaves out the time other
+    processes hold the core, which wall time on a shared machine does
+    not."""
     for fn in fns:
         fn()  # warm caches and allocators outside the measurement
     best = [math.inf] * len(fns)
     for _ in range(rounds):
         for i, fn in enumerate(fns):
-            t0 = time.perf_counter()
+            t0 = time.thread_time()
             fn()
-            best[i] = min(best[i], time.perf_counter() - t0)
+            best[i] = min(best[i], time.thread_time() - t0)
     return best
 
 

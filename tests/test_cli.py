@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from evalcomb import __version__
 from evalcomb.cli import main, parse_scenario
 from evalcomb.errors import ConfigError
 from evalcomb.simlab import AdversarialScenario, FactorScenario, IidTwoPoint
@@ -548,3 +549,9 @@ def test_mutually_exclusive_lambda_flags(capsys, tmp_path):
         ]
     )
     assert code == 3
+
+
+def test_version_prints_and_returns(capsys):
+    code, out, err = run(capsys, ["--version"])
+    assert (code, out, err) == (0, f"evalcomb {__version__}\n", "")
+

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,24 @@ class TestValidateEvalues:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             validate_evalues([])
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            np.array([1 + 2j]),
+            np.array([1 + 0j, 2 + 0j]),
+            np.array([np.complex64(1)], dtype=object),
+            [1.0, np.complex128(2 + 1j)],
+            [1.0, 1 + 2j],
+        ],
+        ids=["complex-array", "real-valued-complex-array", "object-array", "numpy-scalar", "python-complex"],
+    )
+    def test_complex_rejected_without_warning(self, raw):
+        # no cast may drop the imaginary part (numpy warns ComplexWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="real numbers"):
+                validate_evalues(raw)
 
     @pytest.mark.parametrize(
         "values",

@@ -1,19 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from evalcomb._ratpoly import (
     betting_poly,
     count_roots_between,
     esp_fractions,
-    poly_derivative,
-    poly_divmod,
-    poly_eval,
+    max_average_reaches,
     poly_max_reaches,
-    poly_mul,
     sturm_chain,
 )
+from oracles import poly_derivative, poly_divmod, poly_eval, poly_mul
 
 F = Fraction
 
@@ -99,11 +98,17 @@ class TestSturm:
 
 def test_betting_poly_zero_eight():
     # (1 - lam)(1 + 7 lam) = 1 + 6 lam - 7 lam^2
-    assert betting_poly([F(0), F(8)]) == [F(1), F(6), F(-7)]
+    assert betting_poly([F(0), F(8)]) == ([1, 6, -7], 1)
 
 
 def test_betting_poly_trivial():
-    assert betting_poly([F(1), F(1)]) == [F(1)]
+    assert betting_poly([F(1), F(1)]) == ([1], 1)
+
+
+def test_betting_poly_clears_denominators_once():
+    # (1 - lam/2)(1 + lam/3) = (2 - lam)(3 + lam) / 6 over D = 6:
+    # D^2 times it is (6 - 3 lam)(6 + 2 lam) = 36 - 6 lam - 6 lam^2
+    assert betting_poly([F(1, 2), F(4, 3)]) == ([36, -6, -6], 36)
 
 
 def test_esp_fractions_oracle():
@@ -134,9 +139,84 @@ class TestPolyMaxReaches:
 
     def test_agrees_with_dense_rational_grid(self):
         values = [F(0), F(3), F(1, 2), F(5)]
-        poly = betting_poly(values)
+        poly = oracles.betting_poly(values)
         grid_max = max(poly_eval(poly, F(j, 400)) for j in range(401))
         # the grid maximum is a lower bound for the true supremum
         assert poly_max_reaches(values, grid_max)
         # and a midpoint refinement is still below anything the sup misses
         assert not poly_max_reaches(values, grid_max + F(1, 2))
+
+
+# ----- the integer kernel against the Fraction reference -----
+
+entry = st.one_of(
+    st.sampled_from([F(0), F(1)]),
+    st.fractions(min_value=0, max_value=6, max_denominator=8),
+)
+# zeros, ones and repeated values: each drawn entry appears 1-3 times
+entries = st.lists(st.tuples(entry, st.integers(1, 3)), min_size=1, max_size=4).map(
+    lambda pairs: [v for v, times in pairs for _ in range(times)]
+)
+threshold = st.fractions(min_value=0, max_value=12, max_denominator=16)
+
+
+@given(entries, threshold)
+@settings(max_examples=300, deadline=None)
+def test_decisions_match_the_fraction_reference(values, t):
+    assert poly_max_reaches(values, t) == oracles.poly_max_reaches(values, t)
+    assert max_average_reaches(values, t) == oracles.max_average_reaches(values, t)
+
+
+@given(entries, st.integers(0, 16))
+@settings(max_examples=100, deadline=None)
+def test_level_met_at_a_rational_bet_is_reached(values, j):
+    # M - t has a root at lam = j/16 itself, possibly an endpoint
+    t = poly_eval(oracles.betting_poly(values), F(j, 16))
+    assert poly_max_reaches(values, t)
+    assert oracles.poly_max_reaches(values, t)
+
+
+@given(
+    st.fractions(min_value=F(41, 20), max_value=50, max_denominator=20),
+    st.integers(1, 3),
+)
+@example(F(8), 1)
+@settings(max_examples=60, deadline=None)
+def test_tangent_maximum_matches_the_fraction_reference(b, copies):
+    # ((1 - lam)(1 + (b - 1) lam))^copies peaks at (b^2 / (4 (b - 1)))^copies
+    # inside (0, 1) for b > 2, where M - t has a double root; (0, 8)
+    # peaks at 16/7.
+    values = [F(0), b] * copies
+    top = (b * b / (4 * (b - 1))) ** copies
+    for t, reached in ((top, True), (top + F(1, 10**9), False)):
+        assert poly_max_reaches(values, t) is reached
+        assert oracles.poly_max_reaches(values, t) is reached
+        assert max_average_reaches(values, t) == oracles.max_average_reaches(values, t)
+
+
+point = st.fractions(min_value=-1, max_value=2, max_denominator=6)
+
+
+@given(
+    st.lists(point, min_size=1, max_size=5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+    point,
+    point,
+)
+@settings(max_examples=150, deadline=None)
+def test_root_counts_match_the_fraction_reference(roots, lead, a, b):
+    # repeated roots are common: there are only 55 distinct points
+    a, b = sorted((a, b))
+    poly = [lead]
+    for r in roots:
+        poly = poly_mul(poly, [-r, F(1)])
+    expected = len({r for r in roots if a < r <= b})
+    assert count_roots_between(poly, a, b) == expected
+    assert oracles.count_roots_between(poly, a, b) == expected
+
+
+@given(st.lists(rational, min_size=1, max_size=7), point, point)
+@settings(max_examples=150, deadline=None)
+def test_root_counts_of_any_polynomial_match_the_fraction_reference(poly, a, b):
+    a, b = sorted((a, b))
+    assert count_roots_between(poly, a, b) == oracles.count_roots_between(poly, a, b)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from evalcomb import simlab
 from evalcomb.betting import log_wealth, optimize_lambda, optimize_lambda_batch
 from evalcomb.core import EValueVector, Regime
@@ -524,3 +525,57 @@ class TestEnumerateExact:
         s = mc_type1(sc, 0.25, 20_000, seed=14)
         se = math.sqrt(exact * (1 - exact) / 20_000) + 1e-12
         assert abs(s.rejection_rate[StatKind.MAX_AVERAGE] - exact) <= 5 * se
+
+
+def _full_scan(level, n, t, kind):
+    """Every outcome class decided by the Fraction reference."""
+    p, hi, lo = (Fraction(repr(v)) for v in (level.p, level.hi, level.lo))
+    reaches = (
+        oracles.max_average_reaches
+        if kind is StatKind.MAX_AVERAGE
+        else oracles.poly_max_reaches
+    )
+    return sum(
+        (
+            math.comb(n, c) * p**c * (1 - p) ** (n - c)
+            for c in range(n + 1)
+            if reaches([hi] * c + [lo] * (n - c), t)
+        ),
+        Fraction(0),
+    )
+
+
+class TestClassBisection:
+    LEVELS = [
+        FactorLevel(1.0, 0.5, 2.0, 0.0),
+        FactorLevel(1.0, 0.3, 0.0, 2.5),  # hi < lo
+        FactorLevel(1.0, 0.5, 1.5, 1.5),  # hi == lo
+        FactorLevel(1.0, 0.0, 3.0, 0.5),
+        FactorLevel(1.0, 1.0, 3.0, 0.5),
+        FactorLevel(1.0, 1.0, 0.5, 3.0),
+        *default_factor_scenario(2).levels,
+    ]
+
+    @pytest.mark.parametrize("level", LEVELS, ids=str)
+    def test_matches_a_full_scan_over_classes(self, level):
+        for n in (1, 4, 7):
+            for t in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(4), Fraction(10)):
+                for kind in (StatKind.MAX_AVERAGE, StatKind.OPTIMIZED_BETTING):
+                    got = simlab._level_rejection_probability(level, n, t, kind)
+                    assert got == _full_scan(level, n, t, kind), (n, t, kind)
+
+    def test_decides_about_log2_classes(self, monkeypatch):
+        decided = []
+        reject = simlab._reject_exact
+
+        def counting(values, threshold, kind):
+            decided.append(len(values))
+            return reject(values, threshold, kind)
+
+        monkeypatch.setattr(simlab, "_reject_exact", counting)
+        sc = two_point_scenario(p=0.5, n=18, lo=0.0, hi=2.0)
+        for kind in (StatKind.MAX_AVERAGE, StatKind.OPTIMIZED_BETTING):
+            decided.clear()
+            enumerate_exact(sc, 10, kind)
+            # 19 classes: bisection needs at most ceil(log2(20)) = 5
+            assert 1 <= len(decided) <= 5
