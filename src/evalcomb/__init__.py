@@ -63,7 +63,6 @@ from .sympoly import (
     log_esp_batch,
     mixture_value,
     symmetric_averages,
-    symmetric_sums,
 )
 from .testkit import (
     StatKind,
@@ -121,7 +120,6 @@ __all__ = [
     "log_esp_batch",
     "mixture_value",
     "symmetric_averages",
-    "symmetric_sums",
     "StatKind",
     "TestReport",
     "VilleDetail",

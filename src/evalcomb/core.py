@@ -164,7 +164,7 @@ def validate_evalues(
 
     Every entry must be a nonnegative number; ``inf`` is allowed, NaN
     and negatives are not, and complex input is refused even with zero
-    imaginary parts.  The error message names the position
+    imaginary parts, as are integers too large for a float.  The error message names the position
     (0-based) of the first offending entry.  Numeric ndarrays are read
     without a copy; other iterables, generators among them, are listed
     first.
@@ -179,6 +179,10 @@ def validate_evalues(
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"e-values must all be numbers: {exc}") from exc
+    except OverflowError as exc:
+        raise ValidationError(
+            f"e-values must be real numbers within the float range: {exc}"
+        ) from exc
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("at least one e-value is required")
     bad_nan = np.isnan(arr)

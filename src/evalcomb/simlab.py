@@ -36,7 +36,7 @@ from .betting import log_wealth, optimize_lambda_batch
 from .core import LOG_ZERO, EValueVector, Regime
 from .errors import ConfigError
 from .sympoly import log_averages_batch
-from .testkit import StatKind, decide_batch
+from .testkit import StatKind, _checked_alpha, decide_batch
 
 __all__ = [
     "IidTwoPoint",
@@ -406,24 +406,22 @@ class EstimateWithError:
     g_label: str
 
 
-def _checked_mc_args(alpha: float, replications: int, seed: int) -> tuple[float, int, int]:
-    alpha = float(alpha)
-    if math.isnan(alpha) or not (0.0 < alpha < 1.0):
-        raise ConfigError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+def _checked_mc_args(replications: int, seed: int) -> tuple[int, int]:
     replications = int(replications)
     if replications < 1:
         raise ConfigError(f"replications must be at least 1, got {replications}")
     seed = int(seed)
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
-    return alpha, replications, seed
+    return replications, seed
 
 
 def _run_batch(
     scenario: Scenario, alpha: float, replications: int, seed: int
 ) -> MonteCarloSummary:
     """Rejection counts and dominance violations, summed block by block."""
-    alpha, replications, seed = _checked_mc_args(alpha, replications, seed)
+    alpha = _checked_alpha(alpha)
+    replications, seed = _checked_mc_args(replications, seed)
     started = time.perf_counter()
     rejected = dict.fromkeys(StatKind, 0)
     violations = 0
@@ -558,7 +556,7 @@ def mc_demimartingale_sweep(
         raise ConfigError(
             f"demimartingale estimates require mean exactly 1, got {scenario.mean}"
         )
-    _, replications, seed = _checked_mc_args(0.5, replications, seed)
+    replications, seed = _checked_mc_args(replications, seed)
     ks = [int(k) for k in ks]
     for k in ks:
         if not 0 <= k <= scenario.n - 1:

@@ -20,8 +20,7 @@ is the only way the sums are computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "log_esp_batch",
     "log_binomials",
     "log_averages_batch",
-    "symmetric_sums",
     "symmetric_averages",
     "mixture_value",
     "identity_residuals",
@@ -110,11 +108,6 @@ def log_averages_batch(log_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_S, log_S - log_binomials(log_S.shape[1] - 1)
 
 
-def symmetric_sums(E: EValueVector) -> tuple[LogValue, ...]:
-    """S_0 .. S_n via the one-pass quadratic recursion."""
-    return tuple(LogValue(v) for v in log_esp(E.log_values))
-
-
 @dataclass(frozen=True, eq=False)
 class SymmetricAverages:
     """The averages A_0 .. A_n with their maximum.
@@ -123,27 +116,18 @@ class SymmetricAverages:
     report is deterministic under ties.  ``trivial_max`` is True when
     nothing beats A_0 = 1, i.e. the statistic carries no evidence.
 
-    The per-index values are kept as raw log arrays; the ``log_S`` and
-    ``log_A`` tuples are materialized on first access so that building
-    the report costs no more than the recursion itself.
+    ``log_S`` and ``log_A`` hold log S_k and log A_k for k = 0..n as
+    read-only float64 arrays.
     """
 
     argmax_k: int
     log_max: LogValue
-    _log_S: np.ndarray = field(repr=False)
-    _log_A: np.ndarray = field(repr=False)
-
-    @cached_property
-    def log_S(self) -> tuple[LogValue, ...]:
-        return tuple(LogValue(v) for v in self._log_S)
-
-    @cached_property
-    def log_A(self) -> tuple[LogValue, ...]:
-        return tuple(LogValue(v) for v in self._log_A)
+    log_S: np.ndarray
+    log_A: np.ndarray
 
     @property
     def n(self) -> int:
-        return self._log_A.size - 1
+        return self.log_A.size - 1
 
     @property
     def trivial_max(self) -> bool:
@@ -159,8 +143,8 @@ def symmetric_averages(E: EValueVector) -> SymmetricAverages:
     return SymmetricAverages(
         argmax_k=argmax_k,
         log_max=LogValue(float(log_A[argmax_k])),
-        _log_S=log_S,
-        _log_A=log_A,
+        log_S=log_S,
+        log_A=log_A,
     )
 
 

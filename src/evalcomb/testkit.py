@@ -50,10 +50,12 @@ class StatKind(enum.Enum):
     VILLE_SEQUENTIAL = "ville_sequential"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VilleDetail:
     """Trajectory record for the sequential betting test.
 
+    ``log_trajectory`` (the running log products) and ``strategy`` (the
+    fraction bet at each step) are read-only float64 arrays.
     ``hitting_index`` is the 1-based index of the first running product
     at or above the threshold, or None if it never gets there.
     ``attested`` echoes the caller's claim that a supplied fraction
@@ -61,9 +63,9 @@ class VilleDetail:
     is nothing to attest).
     """
 
-    log_trajectory: tuple[LogValue, ...]
+    log_trajectory: np.ndarray
     hitting_index: int | None
-    strategy: tuple[float, ...]
+    strategy: np.ndarray
     attested: bool | None
 
 
@@ -98,24 +100,16 @@ def _checked_alpha(alpha: float) -> float:
     return alpha
 
 
-def _reconciled_p_bound(
-    log_statistic: float, alpha: float, reject: bool
-) -> float:
-    """min(1, 1/statistic), nudged to agree with the log-domain verdict.
+def _reconciled_p_bound(log_statistic: LogValue, alpha: float, reject: bool) -> float:
+    """The bound :func:`e_to_p`, nudged to agree with the log-domain
+    verdict.
 
     exp can round across alpha when the statistic sits exactly on the
     threshold; the decision is taken in log domain, so the bound is
     clamped by at most one ulp to keep reject <=> p_bound <= alpha true
     in every report.
     """
-    if log_statistic <= 0.0:
-        p = 1.0
-    else:
-        try:
-            p = math.exp(-log_statistic)
-        except OverflowError:
-            p = 1.0
-        p = min(1.0, p)
+    p = e_to_p(log_statistic)
     if reject and p > alpha:
         p = alpha
     elif not reject and p <= alpha:
@@ -154,14 +148,28 @@ def decide_batch(
     return snapped, log_threshold, snapped >= log_threshold
 
 
-def _decide(log_statistic: float, alpha: float) -> tuple[float, float, bool, float]:
+def _report(
+    kind: StatKind,
+    alpha: float,
+    log_statistic: float,
+    detail: Detail,
+    warnings: tuple[str, ...],
+) -> TestReport:
+    """Decide one statistic by the closed rule and build its report.
+
+    Every test reports through here; alpha must already be checked.
+    """
     snapped, log_threshold, reject = decide_batch(log_statistic, alpha)
-    log_statistic, reject = float(snapped), bool(reject)
-    return (
-        log_statistic,
-        log_threshold,
-        reject,
-        _reconciled_p_bound(log_statistic, alpha, reject),
+    statistic, reject = LogValue(snapped), bool(reject)
+    return TestReport(
+        statistic_kind=kind,
+        log_statistic=statistic,
+        alpha=alpha,
+        log_threshold=log_threshold,
+        reject=reject,
+        p_bound=_reconciled_p_bound(statistic, alpha, reject),
+        detail=detail,
+        warnings=warnings,
     )
 
 
@@ -178,17 +186,12 @@ def test_max_average(E: EValueVector, alpha: float) -> TestReport:
     """Reject when the largest symmetric average reaches 1/alpha."""
     alpha = _checked_alpha(alpha)
     averages = symmetric_averages(E)
-    log_statistic = averages.log_max.log_magnitude
-    log_statistic, log_threshold, reject, p_bound = _decide(log_statistic, alpha)
-    return TestReport(
-        statistic_kind=StatKind.MAX_AVERAGE,
-        log_statistic=LogValue(log_statistic),
-        alpha=alpha,
-        log_threshold=log_threshold,
-        reject=reject,
-        p_bound=p_bound,
-        detail=averages,
-        warnings=_batch_regime_warnings(E),
+    return _report(
+        StatKind.MAX_AVERAGE,
+        alpha,
+        averages.log_max.log_magnitude,
+        averages,
+        _batch_regime_warnings(E),
     )
 
 
@@ -196,17 +199,12 @@ def test_optimized_betting(E: EValueVector, alpha: float) -> TestReport:
     """Reject when the best constant-fraction product reaches 1/alpha."""
     alpha = _checked_alpha(alpha)
     optimum = optimize_lambda(E)
-    log_statistic = optimum.log_value.log_magnitude
-    log_statistic, log_threshold, reject, p_bound = _decide(log_statistic, alpha)
-    return TestReport(
-        statistic_kind=StatKind.OPTIMIZED_BETTING,
-        log_statistic=LogValue(log_statistic),
-        alpha=alpha,
-        log_threshold=log_threshold,
-        reject=reject,
-        p_bound=p_bound,
-        detail=optimum,
-        warnings=_batch_regime_warnings(E),
+    return _report(
+        StatKind.OPTIMIZED_BETTING,
+        alpha,
+        optimum.log_value.log_magnitude,
+        optimum,
+        _batch_regime_warnings(E),
     )
 
 
@@ -253,12 +251,7 @@ def test_ville(
     alpha = _checked_alpha(alpha)
     lams, is_constant = _resolve_strategy(E, strategy)
     trajectory = log_wealth(E.log_values[None], lams)[0]
-    snapped, log_threshold, crossed = decide_batch(trajectory, alpha)
-    # snapping is monotone, so the snapped maximum is the snapped statistic
-    log_statistic = float(np.max(snapped))
-    reject = bool(crossed.any())
-    hitting_index = int(np.argmax(crossed)) + 1 if reject else None
-    p_bound = _reconciled_p_bound(log_statistic, alpha, reject)
+    crossed = decide_batch(trajectory, alpha)[2]
     warnings: tuple[str, ...] = ()
     if E.regime is Regime.UNKNOWN:
         warnings += (
@@ -270,21 +263,17 @@ def test_ville(
             "predictability of the supplied betting sequence was not "
             "attested by the caller",
         )
+    trajectory.flags.writeable = False
+    lams.flags.writeable = False
     detail = VilleDetail(
-        log_trajectory=tuple(LogValue(v) for v in trajectory),
-        hitting_index=hitting_index,
-        strategy=tuple(float(v) for v in lams),
+        log_trajectory=trajectory,
+        hitting_index=int(np.argmax(crossed)) + 1 if crossed.any() else None,
+        strategy=lams,
         attested=None if is_constant else attested,
     )
-    return TestReport(
-        statistic_kind=StatKind.VILLE_SEQUENTIAL,
-        log_statistic=LogValue(log_statistic),
-        alpha=alpha,
-        log_threshold=log_threshold,
-        reject=reject,
-        p_bound=p_bound,
-        detail=detail,
-        warnings=warnings,
+    # snapping is monotone, so the path's maximum decides the whole path
+    return _report(
+        StatKind.VILLE_SEQUENTIAL, alpha, float(np.max(trajectory)), detail, warnings
     )
 
 
@@ -296,12 +285,7 @@ def e_to_p(log_statistic: LogValue | float) -> float:
         ls = float(log_statistic)
         if math.isnan(ls):
             raise ValidationError("log statistic must not be NaN")
-    if ls <= 0.0:
-        return 1.0
-    try:
-        return min(1.0, math.exp(-ls))
-    except OverflowError:
-        return 1.0
+    return 1.0 if ls <= 0.0 else math.exp(-ls)
 
 
 # The decision procedures are library entry points that happen to carry a

@@ -18,7 +18,8 @@ def naive_symmetric_sums(E: EValueVector) -> tuple[LogValue, ...]:
     """S_0 .. S_n by brute-force subset enumeration (oracle path).
 
     Walks all 2^n subsets and sums each subset's product explicitly,
-    sharing no code with :func:`evalcomb.sympoly.symmetric_sums`.  Refuses n > 22.
+    sharing no code with :func:`evalcomb.sympoly.log_esp`, whose log
+    sums it checks.  Refuses n > 22.
     """
     n = E.n
     if n > _NAIVE_MAX_N:

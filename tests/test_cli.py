@@ -54,6 +54,9 @@ class TestParseScenario:
             "two_point:p=0.5,hi=2,n=3,q=1",
             "two_point:p=0.5,hi=2,n=3,n=4",
             "two_point:p=0.5,hi=2,n=2.5",
+            "two_point:p=0.5,hi=2,n=nan",
+            "two_point:p=0.5,hi=2,n=inf",
+            "two_point:p=0.5,hi=2,n=1e400",
             "factor:custom,n=3",
             "factor:default",
             "factor:default,n=x",

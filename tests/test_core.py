@@ -91,11 +91,22 @@ class TestValidateEvalues:
             np.array([np.complex64(1)], dtype=object),
             [1.0, np.complex128(2 + 1j)],
             [1.0, 1 + 2j],
+            [10**400],
+            np.array([1.0, 10**400], dtype=object),
         ],
-        ids=["complex-array", "real-valued-complex-array", "object-array", "numpy-scalar", "python-complex"],
+        ids=[
+            "complex-array",
+            "real-valued-complex-array",
+            "object-array",
+            "numpy-scalar",
+            "python-complex",
+            "int-beyond-float",
+            "int-beyond-float-object-array",
+        ],
     )
     def test_complex_rejected_without_warning(self, raw):
-        # no cast may drop the imaginary part (numpy warns ComplexWarning)
+        # no cast may drop the imaginary part (numpy warns ComplexWarning),
+        # and none may overflow (Python raises OverflowError)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="real numbers"):

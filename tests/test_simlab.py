@@ -276,12 +276,8 @@ class TestBatchKernels:
             log_S, log_A = log_averages_batch(log_rows)
             for i, row in enumerate(log_rows):
                 single = symmetric_averages(EValueVector(row))
-                np.testing.assert_array_equal(
-                    [v.log_magnitude for v in single.log_S], log_S[i]
-                )
-                np.testing.assert_array_equal(
-                    [v.log_magnitude for v in single.log_A], log_A[i]
-                )
+                np.testing.assert_array_equal(single.log_S, log_S[i])
+                np.testing.assert_array_equal(single.log_A, log_A[i])
                 assert single.log_max.log_magnitude == log_A[i].max()
 
     def test_batch_betting(self):
@@ -304,8 +300,7 @@ class TestBatchKernels:
                 for i, row in enumerate(log_rows):
                     report = test_ville(EValueVector(row), strategy, 0.05)
                     np.testing.assert_array_equal(
-                        [v.log_magnitude for v in report.detail.log_trajectory],
-                        wealth[i],
+                        report.detail.log_trajectory, wealth[i]
                     )
 
     def test_batch_decisions_match_reports(self):

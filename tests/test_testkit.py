@@ -49,6 +49,10 @@ class TestMaxAverage:
         report = test_max_average(_ev([0.0, 8.0]), 0.5)
         assert isinstance(report.detail, SymmetricAverages)
         assert report.detail.argmax_k == 1
+        for arr in (report.detail.log_S, report.detail.log_A):
+            assert arr.dtype == np.float64
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_infinite_evalue_forces_rejection(self):
         report = test_max_average(_ev([math.inf, 1.0]), 0.01)
@@ -111,7 +115,7 @@ class TestVille:
         """E = (0, 8) at constant lambda = 1/2: wealth 0.5 then 2.25,
         which never reaches the alpha = 0.4 threshold of 2.5."""
         report = test_ville(_ev([0.0, 8.0]), 0.5, 0.4)
-        traj = [lv.value for lv in report.detail.log_trajectory]
+        traj = np.exp(report.detail.log_trajectory)
         np.testing.assert_allclose(traj, [0.5, 2.25], rtol=1e-12)
         assert not report.reject
         assert report.detail.hitting_index is None
@@ -136,21 +140,21 @@ class TestVille:
         # betting everything on a zero e-value wipes the wealth out for good
         report = test_ville(_ev([0.0, math.inf]), [1.0, 0.5], 0.05)
         traj = report.detail.log_trajectory
-        assert traj[0].is_zero
-        assert traj[1].is_zero
+        assert traj[0] == LOG_ZERO
+        assert traj[1] == LOG_ZERO
         assert not report.reject
 
     def test_lambda_zero_abstains(self):
         report = test_ville(_ev([0.0, 8.0]), 0.0, 0.9)
-        traj = [lv.value for lv in report.detail.log_trajectory]
+        traj = np.exp(report.detail.log_trajectory)
         np.testing.assert_allclose(traj, [1.0, 1.0], rtol=1e-15)
         assert not report.reject
 
     def test_per_step_strategy(self):
         report = test_ville(_ev([2.0, 2.0]), [0.0, 1.0], 0.45)
-        traj = [lv.value for lv in report.detail.log_trajectory]
+        traj = np.exp(report.detail.log_trajectory)
         np.testing.assert_allclose(traj, [1.0, 2.0], rtol=1e-14)
-        assert report.detail.strategy == (0.0, 1.0)
+        np.testing.assert_array_equal(report.detail.strategy, [0.0, 1.0])
 
     def test_strategy_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -198,15 +202,22 @@ def vectors(draw):
     return draw(st.lists(entry, min_size=n, max_size=n))
 
 
+def _ville_half(ev, alpha):
+    """The sequential test at the constant fraction 1/2."""
+    return test_ville(ev, 0.5, alpha)
+
+
 @given(vectors(), alphas)
 @settings(max_examples=200, deadline=None)
 def test_reject_iff_threshold_crossed(values, alpha):
     ev = _ev(values)
-    for runner in (test_max_average, test_optimized_betting):
+    for runner in (test_max_average, test_optimized_betting, _ville_half):
         report = runner(ev, alpha)
         assert report.reject == (
             report.log_statistic.log_magnitude >= report.log_threshold
         )
+        if runner is _ville_half:
+            assert (report.detail.hitting_index is not None) == report.reject
 
 
 @given(vectors(), alphas)
@@ -215,7 +226,7 @@ def test_reject_iff_p_bound_at_most_alpha(values, alpha):
     """The two decision routes must agree: threshold on the statistic and
     comparison of the p-style bound with alpha."""
     ev = _ev(values)
-    for runner in (test_max_average, test_optimized_betting):
+    for runner in (test_max_average, test_optimized_betting, _ville_half):
         report = runner(ev, alpha)
         assert report.reject == (report.p_bound <= alpha)
         assert 0.0 <= report.p_bound <= 1.0
@@ -239,3 +250,7 @@ def test_ville_detail_is_frozen():
     assert isinstance(report.detail, VilleDetail)
     with pytest.raises(AttributeError):
         report.detail.hitting_index = 0
+    for arr in (report.detail.log_trajectory, report.detail.strategy):
+        assert arr.dtype == np.float64
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
