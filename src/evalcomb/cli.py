@@ -167,13 +167,13 @@ def _read_number_file(
     as is an optional leading header line (e.g. ``e_value``).
 
     All problems here are data problems (ValidationError, exit 2):
-    missing file, empty file, or a line that is not an acceptable
-    number.  Diagnostics cite the 1-based line.
+    missing or undecodable file, empty file, or a line that is not an
+    acceptable number.  Diagnostics cite the 1-based line.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw_lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
     values = []
     for lineno, line in enumerate(raw_lines, start=1):

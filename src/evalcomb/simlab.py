@@ -18,6 +18,12 @@ function of (seed, r), with ``_BLOCK`` part of that function: results
 do not depend on how blocks are ordered or distributed, a sample of R
 replications is a prefix of any larger one, and memory stays
 O(``_BLOCK`` * n) whatever the number of replications.
+
+Both batch statistics are symmetric in the entries, so on a law with
+finite support a row's verdict depends only on how many of its entries
+take each support point.  Within a block the two are computed once per
+such outcome class and shared by the class's rows; the Ville statistic
+depends on the order of the entries and is still computed row by row.
 """
 
 from __future__ import annotations
@@ -357,12 +363,61 @@ def _sample_blocks(scenario: Scenario, seed: int, replications: int) -> Iterator
 # batch decisions
 
 
-def _reject_rows(log_rows: np.ndarray, alpha: float) -> dict[StatKind, np.ndarray]:
+def _log_support(scenario: Scenario) -> np.ndarray | None:
+    """The sorted distinct log values a scenario's entries can take, or
+    None for a law without finite support.  Computed as the sampler
+    computes its draws, so a sampled entry equals its support point
+    bit for bit."""
+    with np.errstate(divide="ignore"):
+        if isinstance(scenario, (IidTwoPoint, FactorScenario)):
+            points = np.log([[lv.hi, lv.lo] for lv in scenario.levels])
+        elif isinstance(scenario, AdversarialScenario):
+            points = np.array([LOG_ZERO, 0.0, math.log(2.0), math.log(8.0)])
+        else:
+            return None
+    return np.unique(points)
+
+
+def _outcome_classes(
+    log_rows: np.ndarray, support: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Group rows by how many entries take each support point.
+
+    Returns the index of each class's first row and every row's class,
+    or None when the grouping would not be exact: no support, an entry
+    that matches no support point, or a class key (the counts written
+    in base n + 1) that would not fit in an int64.
+    """
+    if support is None:
+        return None
+    n = log_rows.shape[1]
+    if (n + 1) ** len(support) > np.iinfo(np.int64).max:
+        return None
+    counts = [np.count_nonzero(log_rows == point, axis=1) for point in support]
+    if not (sum(counts) == n).all():
+        return None
+    keys = sum((n + 1) ** i * count for i, count in enumerate(counts))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _reject_rows(
+    log_rows: np.ndarray, alpha: float, support: np.ndarray | None = None
+) -> dict[StatKind, np.ndarray]:
     """Every statistic's verdict on every row: the kernels and the
-    decision rule of the single-vector tests, applied to all rows."""
+    decision rule of the single-vector tests, applied to all rows.
+
+    Given the log support of a finite-support law, the two symmetric
+    statistics are computed once per outcome class, on the class's
+    first row, and spread to its other rows.  The Ville trajectory
+    depends on the order of the entries and is computed on every row.
+    """
+    classes = _outcome_classes(log_rows, support)
+    first, inverse = (slice(None), slice(None)) if classes is None else classes
+    symmetric_rows = log_rows[first]
     log_statistics = {
-        StatKind.MAX_AVERAGE: log_averages_batch(log_rows)[1].max(axis=1),
-        StatKind.OPTIMIZED_BETTING: optimize_lambda_batch(log_rows).log_value,
+        StatKind.MAX_AVERAGE: log_averages_batch(symmetric_rows)[1].max(axis=1)[inverse],
+        StatKind.OPTIMIZED_BETTING: optimize_lambda_batch(symmetric_rows).log_value[inverse],
         StatKind.VILLE_SEQUENTIAL: log_wealth(log_rows, VILLE_DEFAULT_LAMBDA).max(axis=1),
     }
     return {kind: decide_batch(ls, alpha)[2] for kind, ls in log_statistics.items()}
@@ -425,8 +480,9 @@ def _run_batch(
     started = time.perf_counter()
     rejected = dict.fromkeys(StatKind, 0)
     violations = 0
+    support = _log_support(scenario)
     for log_rows in _sample_blocks(scenario, seed, replications):
-        reject = _reject_rows(log_rows, alpha)
+        reject = _reject_rows(log_rows, alpha, support)
         for kind, flags in reject.items():
             rejected[kind] += int(np.count_nonzero(flags))
         betting_only = reject[StatKind.OPTIMIZED_BETTING] & ~reject[StatKind.MAX_AVERAGE]

@@ -137,6 +137,37 @@ class TestCombine:
         )
         assert code == 2
 
+    def test_undecodable_file_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "evalues.txt"
+        path.write_bytes(b"2\n\xff\n")
+        code, out, err = run(
+            capsys, ["combine", "--input", str(path), "--alpha", "0.05"]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read e-value file")
+        assert err.count("\n") == 1
+
+    def test_undecodable_lambda_file_is_input_error(self, capsys, evfile, tmp_path):
+        lampath = tmp_path / "lams.txt"
+        lampath.write_bytes(b"0.5\n\xff\n")
+        code, out, err = run(
+            capsys,
+            [
+                "combine",
+                "--input",
+                evfile("2\n2\n"),
+                "--alpha",
+                "0.45",
+                "--stat",
+                "ville_sequential",
+                "--lambda-file",
+                str(lampath),
+            ],
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read betting-fraction file")
+        assert err.count("\n") == 1
+
     def test_empty_file(self, capsys, evfile):
         code, _, _ = run(
             capsys, ["combine", "--input", evfile(""), "--alpha", "0.05"]
@@ -344,6 +375,51 @@ class TestCombine:
 # ----- simulate -----
 
 
+PINNED_SCENARIOS = (
+    ("two_point:p=0.5,mean=1,lo=0,n=10", 0.05),
+    ("factor:default,n=8", 0.05),
+    ("adversarial", 0.5),
+    ("two_point:p=0.5,hi=2.2,lo=0.2,n=20", 0.05),
+)
+PINNED_STDOUT = (
+    (
+        '{"alpha": 0.05, "rejection_rate": {"max_average": 0.01165, '
+        '"optimized_betting": 0.01165, "ville_sequential": 0.00425}, '
+        '"replications": 20000, '
+        '"scenario": "two_point:p=0.5,mean=1,lo=0,n=10", "seed": 7, '
+        '"standard_error": {"max_average": 0.0007587581136304244, '
+        '"optimized_betting": 0.0007587581136304244, '
+        '"ville_sequential": 0.00045999660324832836}}\n'
+    ),
+    (
+        '{"alpha": 0.05, "rejection_rate": {"max_average": 0.00355, '
+        '"optimized_betting": 0.00355, "ville_sequential": 0.0069}, '
+        '"replications": 20000, "scenario": "factor:default,n=8", "seed": 7, '
+        '"standard_error": {"max_average": 0.00042055900299482356, '
+        '"optimized_betting": 0.00042055900299482356, '
+        '"ville_sequential": 0.0005853370823722003}}\n'
+    ),
+    (
+        '{"alpha": 0.5, "rejection_rate": {"max_average": 0.55875, '
+        '"optimized_betting": 0.55875, "ville_sequential": 0.06335}, '
+        '"replications": 20000, "scenario": "adversarial", "seed": 7, '
+        '"standard_error": {"max_average": 0.0035110428472179033, '
+        '"optimized_betting": 0.0035110428472179033, '
+        '"ville_sequential": 0.0017224514144091262}}\n'
+    ),
+    (
+        '{"alpha": 0.05, "dominance_violations": 0, '
+        '"rejection_rate": {"max_average": 0.0592, '
+        '"optimized_betting": 0.0592, "ville_sequential": 0.1124}, '
+        '"replications": 20000, '
+        '"scenario": "two_point:p=0.5,hi=2.2,lo=0.2,n=20", "seed": 7, '
+        '"standard_error": {"max_average": 0.0016687624156841501, '
+        '"optimized_betting": 0.0016687624156841501, '
+        '"ville_sequential": 0.002233452932121024}}\n'
+    ),
+)
+
+
 class TestSimulate:
     def test_null_scenario_reports_rates(self, capsys):
         code, out, _ = run(
@@ -404,6 +480,15 @@ class TestSimulate:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+
+    def test_benchmark_scenarios_print_pinned_output(self, capsys):
+        """The stdout of the four benchmark scenarios at seed 7 and 20000
+        replications, recorded before the symmetric statistics were
+        decided once per outcome class: grouping must not move a byte."""
+        for (spec, alpha), expected in zip(PINNED_SCENARIOS, PINNED_STDOUT):
+            argv = ["simulate", "--scenario", spec, "--alpha", repr(alpha),
+                    "--reps", "20000", "--seed", "7"]
+            assert run(capsys, argv) == (0, expected, "")
 
     def test_zero_reps_is_config_error(self, capsys):
         code, _, _ = run(

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from evalcomb import simlab
 from evalcomb.betting import log_wealth, optimize_lambda, optimize_lambda_batch
+from evalcomb.cli import parse_scenario
 from evalcomb.core import EValueVector, Regime
 from evalcomb.errors import ConfigError
 from evalcomb.simlab import (
@@ -20,6 +21,8 @@ from evalcomb.simlab import (
     MAX_ENUMERATION_OUTCOMES,
     VILLE_DEFAULT_LAMBDA,
     _BLOCK,
+    _log_support,
+    _outcome_classes,
     _reject_rows,
     _sample_blocks,
     _sample_rows,
@@ -307,8 +310,10 @@ class TestBatchKernels:
         """On every small grid row, including rows whose statistic sits
         exactly on the threshold (max average of (8, 0) is 4, both
         statistics of (2, 2, 2, 0.5) are 4), the Monte Carlo verdict is
-        the report's verdict."""
+        the report's verdict, per row and grouped by outcome class with
+        the grid as the support."""
         grid = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
+        support = _log(np.array(grid))
         runners = {
             StatKind.MAX_AVERAGE: test_max_average,
             StatKind.OPTIMIZED_BETTING: test_optimized_betting,
@@ -318,14 +323,110 @@ class TestBatchKernels:
         }
         for n in (1, 2, 3, 4):
             log_rows = _log(np.array(list(itertools.product(grid, repeat=n))))
+            assert len(_outcome_classes(log_rows, support)[0]) == math.comb(n + 5, 5)
             for alpha in (0.5, 0.25, 0.125):
-                reject = _reject_rows(log_rows, alpha)
+                per_row = _reject_rows(log_rows, alpha)
+                grouped = _reject_rows(log_rows, alpha, support)
                 for i, row in enumerate(log_rows):
                     ev = EValueVector(row)
                     for kind, runner in runners.items():
-                        assert reject[kind][i] == runner(ev, alpha).reject, (
+                        verdict = runner(ev, alpha).reject
+                        assert per_row[kind][i] == grouped[kind][i] == verdict, (
                             kind, np.exp(row), alpha
                         )
+
+
+# ----- outcome classes -----
+
+
+CLI_SPECS = (
+    "two_point:p=0.5,mean=1,lo=0,n=10",
+    "factor:default,n=8",
+    "adversarial",
+    "two_point:p=0.5,hi=2.2,lo=0.2,n=20",
+    "two_point:p=0.3,hi=0.1,lo=3.7,n=50",
+    "two_point:p=0.5,hi=1.5,lo=1.5,n=6",
+    "two_point:p=0.125,hi=8,lo=0,n=2",
+    "factor:default,n=1",
+)
+
+
+def _class_bound(scenario):
+    """At most levels * (n + 1) classes: a row's count of hi entries and,
+    for a factor law, its level; the adversarial law has three outcomes."""
+    return len(getattr(scenario, "levels", (None,))) * (scenario.n + 1)
+
+
+def _assert_same_verdicts(log_rows, alpha, support):
+    grouped = _reject_rows(log_rows, alpha, support)
+    per_row = _reject_rows(log_rows, alpha)
+    for kind in StatKind:
+        np.testing.assert_array_equal(grouped[kind], per_row[kind], err_msg=kind.value)
+
+
+class TestOutcomeClasses:
+    def test_support_of_each_scenario(self):
+        assert _log_support(AdversarialScenario()).tolist() == [
+            -math.inf, 0.0, math.log(2.0), math.log(8.0)
+        ]
+        assert np.exp(_log_support(default_factor_scenario(4))).tolist() == pytest.approx(
+            [0.0, 0.5, 1.5, 4.0]
+        )
+        assert len(_log_support(two_point_scenario(p=0.5, n=3, lo=1.0, hi=1.0))) == 1
+        assert _log_support(IidLognormal(1.0, 4)) is None
+
+    @pytest.mark.parametrize("spec", CLI_SPECS)
+    def test_grouped_verdicts_equal_per_row_verdicts(self, spec):
+        scenario = parse_scenario(spec)
+        support = _log_support(scenario)
+        for seed in (1, 2):
+            log_rows = _sample_rows(scenario, replication_stream(seed, 0), _BLOCK)
+            first, inverse = _outcome_classes(log_rows, support)
+            assert len(first) <= _class_bound(scenario)
+            np.testing.assert_array_equal(inverse[first], np.arange(len(first)))
+            for alpha in (0.5, 0.05):
+                _assert_same_verdicts(log_rows, alpha, support)
+
+    @pytest.mark.parametrize("spec", CLI_SPECS[:4])
+    def test_run_decides_each_class_once(self, spec, monkeypatch):
+        """The Monte Carlo loop hands the kernels one row per class, and
+        its summary equals the per-row run's."""
+        scenario = parse_scenario(spec)
+        grouped = mc_power(scenario, 0.05, 2 * _BLOCK + 7, seed=4)
+        rows_seen = []
+        real = simlab.optimize_lambda_batch
+
+        def spy(log_rows):
+            rows_seen.append(len(log_rows))
+            return real(log_rows)
+
+        monkeypatch.setattr(simlab, "optimize_lambda_batch", spy)
+        mc_power(scenario, 0.05, 2 * _BLOCK + 7, seed=4)
+        assert len(rows_seen) == 3 and max(rows_seen) <= _class_bound(scenario)
+        monkeypatch.setattr(simlab, "_log_support", lambda scenario: None)
+        per_row = mc_power(scenario, 0.05, 2 * _BLOCK + 7, seed=4)
+        assert grouped.rejection_rate == per_row.rejection_rate
+        assert grouped.dominance_violations == per_row.dominance_violations
+
+    def test_unmatched_entry_falls_back_to_rows(self):
+        scenario = default_factor_scenario(8)
+        support = _log_support(scenario)
+        log_rows = _sample_rows(scenario, replication_stream(3, 0), 512)
+        log_rows[17, 5] = np.nextafter(log_rows[17, 5], math.inf)
+        assert _outcome_classes(log_rows, support) is None
+        _assert_same_verdicts(log_rows, 0.05, support)
+
+    def test_key_overflow_falls_back_to_rows(self):
+        """Class keys are the counts in base n + 1: with n = 2, 39
+        support points fit in an int64 (3^39 < 2^63) and 40 do not."""
+        values = 0.25 * np.arange(1, 41)
+        rows = np.random.default_rng(5).choice(values, size=(1000, 2))
+        log_rows = np.log(rows)
+        below_ten = log_rows[(rows < 10).all(axis=1)]
+        assert _outcome_classes(below_ten, np.log(values[:39])) is not None
+        support = np.log(values)
+        assert _outcome_classes(log_rows, support) is None
+        _assert_same_verdicts(log_rows, 1 / 3, support)
 
 
 # ----- Monte Carlo -----
@@ -514,12 +615,26 @@ class TestEnumerateExact:
         with pytest.raises(ConfigError):
             enumerate_exact(AdversarialScenario(), 2, "bogus")
 
-    def test_matches_monte_carlo(self):
-        sc = two_point_scenario(p=0.5, n=6, lo=0.0, hi=2.0)
-        exact = float(enumerate_exact(sc, 4, StatKind.MAX_AVERAGE))
-        s = mc_type1(sc, 0.25, 20_000, seed=14)
-        se = math.sqrt(exact * (1 - exact) / 20_000) + 1e-12
-        assert abs(s.rejection_rate[StatKind.MAX_AVERAGE] - exact) <= 5 * se
+    @pytest.mark.parametrize(
+        "kind", [StatKind.MAX_AVERAGE, StatKind.OPTIMIZED_BETTING], ids=lambda k: k.value
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "two_point:p=0.5,hi=2,lo=0,n=10",
+            "two_point:p=0.5,hi=2,lo=0,n=18",
+            "factor:default,n=8",
+            "factor:default,n=12",
+        ],
+    )
+    def test_matches_monte_carlo(self, spec, kind):
+        """At alpha = 1/8 the threshold 8 is reached exactly, e.g. by
+        A_3 of ten 2s, so this also checks the closed threshold."""
+        sc = parse_scenario(spec)
+        exact = float(enumerate_exact(sc, 8, kind))
+        s = mc_type1(sc, 0.125, 20_000, seed=14)
+        se = math.sqrt(exact * (1 - exact) / 20_000)
+        assert abs(s.rejection_rate[kind] - exact) <= 6 * se
 
 
 def _full_scan(level, n, t, kind):
