@@ -97,28 +97,37 @@ def _checked_rows(log_rows: np.ndarray) -> np.ndarray:
     return log_rows
 
 
+def _log_factors(log_values: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
+    """log((1 - lam) + lam E) entrywise, for lam in [0, 1].
+
+    Each factor is logaddexp(log(1 - lam), log(lam) + log E), which is
+    exact at both betting extremes: lam = 0 gives exactly 1, also
+    against an infinite e-value (0 * inf == 0), and lam = 1 gives
+    exactly the e-value.  Callers silence numpy's divide, invalid and
+    overflow warnings.
+    """
+    factors = np.logaddexp(np.log1p(-lam), np.log(lam) + log_values)
+    # NaN arises only where lam = 0 meets an infinite e-value: a factor of 1
+    factors[np.isnan(factors)] = 0.0
+    return factors
+
+
 def log_wealth(log_rows: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     """Running log wealth from betting fraction lam on each row of e-values.
 
     Entry (r, i) is log prod_{j <= i} ((1 - lam) + lam E_rj).  ``lam``
     broadcasts against the (rows, n) matrix: a scalar, an (n,) vector of
     per-step fractions, or a (rows, 1) column of per-row fractions, all
-    in [0, 1].
-
-    Each factor is logaddexp(log(1 - lam), log(lam) + log E), which is
-    exact at both betting extremes: lam = 0 gives exactly 1, also
-    against an infinite e-value (0 * inf == 0), and lam = 1 gives
-    exactly the e-value.  A zero factor ruins the bettor for good: the
-    wealth stays zero from then on, even if an infinite factor follows.
+    in [0, 1].  The factors are those of :func:`_log_factors`.  A zero
+    factor ruins the bettor for good: the wealth stays zero from then
+    on, even if an infinite factor follows.
     """
     log_rows = _checked_rows(log_rows)
     lam = np.asarray(lam, dtype=float)
     if not ((lam >= 0.0) & (lam <= 1.0)).all():
         raise ConfigError(f"betting fractions must lie in [0, 1], got {lam}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        factors = np.logaddexp(np.log1p(-lam), np.log(lam) + log_rows)
-        # NaN arises only where lam = 0 meets an infinite e-value: a factor of 1
-        factors[np.isnan(factors)] = 0.0
+        factors = _log_factors(log_rows, lam)
         wealth = np.cumsum(factors, axis=1)
     ruined = factors == LOG_ZERO
     if ruined.any():

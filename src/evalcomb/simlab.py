@@ -19,11 +19,17 @@ do not depend on how blocks are ordered or distributed, a sample of R
 replications is a prefix of any larger one, and memory stays
 O(``_BLOCK`` * n) whatever the number of replications.
 
-Both batch statistics are symmetric in the entries, so on a law with
-finite support a row's verdict depends only on how many of its entries
-take each support point.  Within a block the two are computed once per
-such outcome class and shared by the class's rows; the Ville statistic
-depends on the order of the entries and is still computed row by row.
+On a law with finite support (every scenario but the lognormal one)
+a block is drawn as support codes: an (n, rows) matrix of small-integer
+indices into the law's sorted log support points, one column per row.
+Both batch statistics are symmetric in the entries, so a row's verdict
+depends only on its outcome class, how many of its entries take each
+support point.  Each class is decided once per call, on its canonical
+row (the support points repeated by their counts, in ascending order),
+and the verdict is shared by every row of the class in every block.
+The Ville statistic depends on the order of the entries: it is read
+from a table of per-support-point log factors, walking the n columns
+with a running sum and a running maximum.
 """
 
 from __future__ import annotations
@@ -33,12 +39,13 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 from ._ratpoly import max_average_reaches, poly_max_reaches
-from .betting import log_wealth, optimize_lambda_batch
+from .betting import _log_factors, log_wealth, optimize_lambda_batch
 from .core import LOG_ZERO, EValueVector, Regime
 from .errors import ConfigError
 from .sympoly import log_averages_batch
@@ -81,6 +88,19 @@ _BLOCK = 4096
 docstring: changing it changes which stream each row is drawn from)."""
 
 
+def _checked_int(name: str, value: float, minimum: int) -> int:
+    """value as an int of at least minimum.  Ints, numpy ints and floats
+    with an integral value pass; anything else, NaN and the infinities
+    among it, is a ConfigError rather than silently truncated."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
+
+
 def _check_prob(name: str, value: float) -> float:
     value = float(value)
     if math.isnan(value) or not (0.0 <= value <= 1.0):
@@ -116,9 +136,7 @@ class IidTwoPoint:
         _check_prob("p", self.p)
         _check_support_point("hi", self.hi)
         _check_support_point("lo", self.lo)
-        if int(self.n) < 1:
-            raise ConfigError(f"n must be at least 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _checked_int("n", self.n, 1))
 
     @property
     def levels(self) -> tuple[FactorLevel, ...]:
@@ -181,9 +199,7 @@ class IidLognormal:
     def __post_init__(self) -> None:
         if math.isnan(self.sigma) or not (self.sigma > 0.0) or math.isinf(self.sigma):
             raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
-        if int(self.n) < 1:
-            raise ConfigError(f"n must be at least 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _checked_int("n", self.n, 1))
 
     @property
     def mean(self) -> float:
@@ -235,9 +251,7 @@ class FactorScenario:
         total = sum(level.prob for level in self.levels)
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"factor level probabilities must sum to 1, got {total}")
-        if int(self.n) < 1:
-            raise ConfigError(f"n must be at least 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _checked_int("n", self.n, 1))
 
     @property
     def mean(self) -> float:
@@ -307,37 +321,79 @@ def replication_stream(seed: int, replication: int) -> np.random.Generator:
     those two integers: results cannot depend on how blocks are ordered
     or distributed.
     """
-    seed = int(seed)
-    replication = int(replication)
-    if seed < 0 or replication < 0:
-        raise ConfigError("seed and replication index must be nonnegative")
+    seed = _checked_int("seed", seed, 0)
+    replication = _checked_int("replication index", replication, 0)
     return np.random.default_rng([seed, replication])
+
+
+_ADVERSARIAL_LOG_OUTCOMES = np.array(
+    [[math.log(2.0), 0.0], [LOG_ZERO, math.log(8.0)], [LOG_ZERO, LOG_ZERO]]
+)
+"""Log (E_1, E_2) of the adversarial law's outcomes (2, 1), (0, 8) and
+(0, 0), which have probabilities 1/2, 1/16 and 7/16."""
+
+
+def _level_log_points(levels: Sequence[FactorLevel]) -> np.ndarray:
+    """Each level's (log hi, log lo), a (levels, 2) matrix."""
+    with np.errstate(divide="ignore"):
+        return np.log([[level.hi, level.lo] for level in levels])
+
+
+def _log_support(scenario: Scenario) -> np.ndarray | None:
+    """The sorted distinct log values a scenario's entries can take, or
+    None for a law without finite support."""
+    if isinstance(scenario, (IidTwoPoint, FactorScenario)):
+        return np.unique(_level_log_points(scenario.levels))
+    if isinstance(scenario, AdversarialScenario):
+        return np.unique(_ADVERSARIAL_LOG_OUTCOMES)
+    return None
+
+
+def _sample_codes(
+    scenario: Scenario, support: np.ndarray, rng: np.random.Generator, rows: int
+) -> np.ndarray:
+    """Support codes of ``rows`` replications of a finite-support law:
+    an (n, rows) matrix whose column r holds row r's entries as indices
+    into ``support``, the law's :func:`_log_support`.
+
+    Draws are taken row-major: n + 1 uniforms per two-point or factor
+    row (the level first) and 2 uniforms per adversarial row.  The first
+    R rows of a larger draw from the same stream are therefore the R
+    rows of a smaller one.  Codes have the smallest signed integer type
+    that holds every index and every difference of two indices.
+    """
+    code_type = np.min_scalar_type(-len(support))
+    if isinstance(scenario, AdversarialScenario):
+        u = rng.random((rows, 2))
+        outcome = np.where(u[:, 0] < 0.5, 0, np.where(u[:, 1] < 0.125, 1, 2))
+        outcome_codes = np.searchsorted(support, _ADVERSARIAL_LOG_OUTCOMES)
+        return np.take(outcome_codes.T.astype(code_type), outcome, axis=1)
+    levels = scenario.levels
+    hi_code, lo_code = np.searchsorted(support, _level_log_points(levels)).T.astype(code_type)
+    u = rng.random((rows, scenario.n + 1))
+    cumulative = np.cumsum([level.prob for level in levels])
+    pick = np.minimum(np.searchsorted(cumulative, u[:, 0], side="right"), len(levels) - 1)
+    hit = np.less(u[:, 1:].T, np.array([level.p for level in levels])[pick], order="C")
+    # integer arithmetic on the hit mask: a broadcast np.where on it is
+    # about twenty times slower on a (20, 4096) block
+    return lo_code[pick] + (hi_code - lo_code)[pick] * hit
 
 
 def _sample_rows(scenario: Scenario, rng: np.random.Generator, rows: int) -> np.ndarray:
     """Log e-values of ``rows`` replications, a (rows, n) matrix.
 
-    Draws are taken row-major: n + 1 uniforms per two-point or factor
-    row (the level first), n standard normals per lognormal row and 2
-    uniforms per adversarial row.  The first R rows of a larger draw
-    from the same stream are therefore the R rows of a smaller one.
+    A finite-support law's rows are its support points read through
+    :func:`_sample_codes`; a lognormal row is n standard normals.  The
+    first R rows of a larger draw from the same stream are therefore the
+    R rows of a smaller one.
     """
-    with np.errstate(divide="ignore"):
-        if isinstance(scenario, (IidTwoPoint, FactorScenario)):
-            u = rng.random((rows, scenario.n + 1))
-            levels = scenario.levels
-            cumulative = np.cumsum([level.prob for level in levels])
-            pick = np.searchsorted(cumulative, u[:, :1], side="right")
-            pick = np.minimum(pick, len(levels) - 1)
-            p, hi, lo = np.array([(lv.p, lv.hi, lv.lo) for lv in levels]).T
-            return np.where(u[:, 1:] < p[pick], np.log(hi)[pick], np.log(lo)[pick])
-        if isinstance(scenario, IidLognormal):
-            sigma = scenario.sigma
-            return sigma * rng.standard_normal((rows, scenario.n)) - 0.5 * sigma * sigma
-        if isinstance(scenario, AdversarialScenario):
-            u = rng.random((rows, 2))
-            tails = np.where(u[:, 1:] < 0.125, [LOG_ZERO, math.log(8.0)], LOG_ZERO)
-            return np.where(u[:, :1] < 0.5, [math.log(2.0), 0.0], tails)
+    support = _log_support(scenario)
+    if support is not None:
+        codes = _sample_codes(scenario, support, rng, rows)
+        return np.ascontiguousarray(support[codes].T)
+    if isinstance(scenario, IidLognormal):
+        sigma = scenario.sigma
+        return sigma * rng.standard_normal((rows, scenario.n)) - 0.5 * sigma * sigma
     raise ConfigError(f"unknown scenario type: {type(scenario).__name__}")
 
 
@@ -350,77 +406,100 @@ def generate(scenario: Scenario, rng: np.random.Generator) -> EValueVector:
     return EValueVector(log_values, scenario.regime)
 
 
-def _sample_blocks(scenario: Scenario, seed: int, replications: int) -> Iterator[np.ndarray]:
-    """Log e-values of replications 0 .. replications - 1, one block of
-    at most ``_BLOCK`` rows at a time; the block starting at
+def _sample_blocks(
+    sample: Callable[[np.random.Generator, int], np.ndarray], seed: int, replications: int
+) -> Iterator[np.ndarray]:
+    """``sample(rng, rows)`` for replications 0 .. replications - 1, one
+    block of at most ``_BLOCK`` rows at a time; the block starting at
     replication r is drawn from ``replication_stream(seed, r)``."""
     for start in range(0, replications, _BLOCK):
         rows = min(_BLOCK, replications - start)
-        yield _sample_rows(scenario, replication_stream(seed, start), rows)
+        yield sample(replication_stream(seed, start), rows)
 
 
 # --------------------------------------------------------------------
 # batch decisions
 
 
-def _log_support(scenario: Scenario) -> np.ndarray | None:
-    """The sorted distinct log values a scenario's entries can take, or
-    None for a law without finite support.  Computed as the sampler
-    computes its draws, so a sampled entry equals its support point
-    bit for bit."""
-    with np.errstate(divide="ignore"):
-        if isinstance(scenario, (IidTwoPoint, FactorScenario)):
-            points = np.log([[lv.hi, lv.lo] for lv in scenario.levels])
-        elif isinstance(scenario, AdversarialScenario):
-            points = np.array([LOG_ZERO, 0.0, math.log(2.0), math.log(8.0)])
-        else:
-            return None
-    return np.unique(points)
-
-
-def _outcome_classes(
-    log_rows: np.ndarray, support: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Group rows by how many entries take each support point.
-
-    Returns the index of each class's first row and every row's class,
-    or None when the grouping would not be exact: no support, an entry
-    that matches no support point, or a class key (the counts written
-    in base n + 1) that would not fit in an int64.
-    """
-    if support is None:
-        return None
-    n = log_rows.shape[1]
-    if (n + 1) ** len(support) > np.iinfo(np.int64).max:
-        return None
-    counts = [np.count_nonzero(log_rows == point, axis=1) for point in support]
-    if not (sum(counts) == n).all():
-        return None
-    keys = sum((n + 1) ** i * count for i, count in enumerate(counts))
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse
-
-
-def _reject_rows(
-    log_rows: np.ndarray, alpha: float, support: np.ndarray | None = None
-) -> dict[StatKind, np.ndarray]:
+def _reject_rows(log_rows: np.ndarray, alpha: float) -> dict[StatKind, np.ndarray]:
     """Every statistic's verdict on every row: the kernels and the
-    decision rule of the single-vector tests, applied to all rows.
-
-    Given the log support of a finite-support law, the two symmetric
-    statistics are computed once per outcome class, on the class's
-    first row, and spread to its other rows.  The Ville trajectory
-    depends on the order of the entries and is computed on every row.
-    """
-    classes = _outcome_classes(log_rows, support)
-    first, inverse = (slice(None), slice(None)) if classes is None else classes
-    symmetric_rows = log_rows[first]
+    decision rule of the single-vector tests, applied to all rows."""
     log_statistics = {
-        StatKind.MAX_AVERAGE: log_averages_batch(symmetric_rows)[1].max(axis=1)[inverse],
-        StatKind.OPTIMIZED_BETTING: optimize_lambda_batch(symmetric_rows).log_value[inverse],
+        StatKind.MAX_AVERAGE: log_averages_batch(log_rows)[1].max(axis=1),
+        StatKind.OPTIMIZED_BETTING: optimize_lambda_batch(log_rows).log_value,
         StatKind.VILLE_SEQUENTIAL: log_wealth(log_rows, VILLE_DEFAULT_LAMBDA).max(axis=1),
     }
     return {kind: decide_batch(ls, alpha)[2] for kind, ls in log_statistics.items()}
+
+
+def _class_weights(n: int, points: int) -> np.ndarray | None:
+    """Place value (n + 1)^i of support point i in an outcome class's
+    key, its counts written in base n + 1; None when a key might not
+    fit in an int64."""
+    if (n + 1) ** points > np.iinfo(np.int64).max:
+        return None
+    return (n + 1) ** np.arange(points, dtype=np.int64)
+
+
+def _ville_peaks(codes: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Each column's highest Ville log wealth at ``VILLE_DEFAULT_LAMBDA``,
+    equal bit for bit to the row maxima of
+    ``log_wealth(support[codes].T, VILLE_DEFAULT_LAMBDA)``.
+
+    The factors come from a table with one entry per support point, and
+    the walk over the n columns keeps a running sum and a running
+    maximum, which makes log_wealth's additions in log_wealth's order.
+    Finite support points give no +inf factor, so a -inf factor (ruin)
+    absorbs every later sum without a NaN, as log_wealth's ruin rule
+    does.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        table = _log_factors(support, VILLE_DEFAULT_LAMBDA)
+    wealth = table[codes[0]]
+    peak = wealth.copy()
+    for column in codes[1:]:
+        wealth += table[column]
+        np.maximum(peak, wealth, out=peak)
+    return peak
+
+
+def _reject_codes(
+    codes: np.ndarray,
+    support: np.ndarray,
+    alpha: float,
+    verdicts: dict[int, tuple[bool, bool]],
+) -> dict[StatKind, np.ndarray]:
+    """Every statistic's verdict on every column of a block of support
+    codes.
+
+    ``verdicts`` maps an outcome class's key to its max-average and
+    betting verdicts, and lives for one call of the Monte Carlo loop:
+    a class missing from it is decided on its canonical row and added.
+    It holds at most one entry per class, whatever the number of
+    blocks.  When class keys might overflow an int64, the block is
+    decided row by row instead.
+    """
+    n = codes.shape[0]
+    weights = _class_weights(n, len(support))
+    if weights is None:
+        return _reject_rows(np.ascontiguousarray(support[codes].T), alpha)
+    # numpy gathers with intp indices: cast once per block, not per gather
+    codes = codes.astype(np.intp)
+    classes, inverse = np.unique(weights[codes].sum(axis=0), return_inverse=True)
+    new = [key for key in classes.tolist() if key not in verdicts]
+    if new:
+        counts = np.array(new)[:, None] // weights % (n + 1)
+        rows = np.repeat(np.tile(support, len(new)), counts.ravel()).reshape(len(new), n)
+        log_max = log_averages_batch(rows)[1].max(axis=1)
+        log_bet = optimize_lambda_batch(rows).log_value
+        decided = (decide_batch(ls, alpha)[2].tolist() for ls in (log_max, log_bet))
+        verdicts.update(zip(new, zip(*decided)))
+    shared = np.array([verdicts[key] for key in classes.tolist()])[inverse]
+    return {
+        StatKind.MAX_AVERAGE: shared[:, 0],
+        StatKind.OPTIMIZED_BETTING: shared[:, 1],
+        StatKind.VILLE_SEQUENTIAL: decide_batch(_ville_peaks(codes, support), alpha)[2],
+    }
 
 
 # --------------------------------------------------------------------
@@ -462,13 +541,7 @@ class EstimateWithError:
 
 
 def _checked_mc_args(replications: int, seed: int) -> tuple[int, int]:
-    replications = int(replications)
-    if replications < 1:
-        raise ConfigError(f"replications must be at least 1, got {replications}")
-    seed = int(seed)
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    return replications, seed
+    return _checked_int("replications", replications, 1), _checked_int("seed", seed, 0)
 
 
 def _run_batch(
@@ -481,8 +554,14 @@ def _run_batch(
     rejected = dict.fromkeys(StatKind, 0)
     violations = 0
     support = _log_support(scenario)
-    for log_rows in _sample_blocks(scenario, seed, replications):
-        reject = _reject_rows(log_rows, alpha, support)
+    if support is None:
+        sample, decide = partial(_sample_rows, scenario), partial(_reject_rows, alpha=alpha)
+    else:
+        sample = partial(_sample_codes, scenario, support)
+        # verdicts={} is built per call: each class is decided once per call
+        decide = partial(_reject_codes, support=support, alpha=alpha, verdicts={})
+    for block in _sample_blocks(sample, seed, replications):
+        reject = decide(block)
         for kind, flags in reject.items():
             rejected[kind] += int(np.count_nonzero(flags))
         betting_only = reject[StatKind.OPTIMIZED_BETTING] & ~reject[StatKind.MAX_AVERAGE]
@@ -613,7 +692,7 @@ def mc_demimartingale_sweep(
             f"demimartingale estimates require mean exactly 1, got {scenario.mean}"
         )
     replications, seed = _checked_mc_args(replications, seed)
-    ks = [int(k) for k in ks]
+    ks = [_checked_int("k", k, 0) for k in ks]
     for k in ks:
         if not 0 <= k <= scenario.n - 1:
             raise ConfigError(
@@ -622,7 +701,7 @@ def mc_demimartingale_sweep(
     gs = list(gs)
     pairs = [(k, g) for k in ks for g in gs]
     sums, squares = np.zeros(len(pairs)), np.zeros(len(pairs))
-    for log_rows in _sample_blocks(scenario, seed, replications):
+    for log_rows in _sample_blocks(partial(_sample_rows, scenario), seed, replications):
         averages = np.exp(log_averages_batch(log_rows)[1])
         for i, (k, g) in enumerate(pairs):
             deltas = averages[:, k + 1] - averages[:, k]

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,11 +22,14 @@ from evalcomb.simlab import (
     MAX_ENUMERATION_OUTCOMES,
     VILLE_DEFAULT_LAMBDA,
     _BLOCK,
+    _class_weights,
     _log_support,
-    _outcome_classes,
+    _reject_codes,
     _reject_rows,
     _sample_blocks,
+    _sample_codes,
     _sample_rows,
+    _ville_peaks,
     default_factor_scenario,
     enumerate_exact,
     g_clipped_identity,
@@ -140,6 +144,52 @@ class TestStreams:
             replication_stream(0, -1)
 
 
+class TestIntegerArguments:
+    """Counts and seeds are integers: integral floats and numpy ints
+    pass, anything else is a ConfigError instead of being truncated or
+    raising a raw ValueError or OverflowError."""
+
+    BAD = (2.5, 0.5, -1.5, math.nan, math.inf, -math.inf, True, "3", None)
+
+    def test_integral_values_pass(self):
+        assert IidTwoPoint(0.5, 2.0, 0.0, n=4.0).n == 4
+        assert type(IidLognormal(1.0, np.int64(3)).n) is int
+        assert default_factor_scenario(np.float64(7.0)).n == 7
+        a = mc_type1(NULL_TP, 0.1, replications=np.int32(300), seed=np.uint8(4))
+        b = mc_type1(NULL_TP, 0.1, replications=300.0, seed=4.0)
+        assert (a.replications, a.seed) == (b.replications, b.seed) == (300, 4)
+        assert a.rejection_rate == b.rejection_rate
+        est = mc_demimartingale(NULL_TP, k=np.int16(1), g=g_constant(), replications=50, seed=0)
+        assert est.k == 1
+        np.testing.assert_array_equal(
+            replication_stream(2.0, np.int64(5)).random(3), replication_stream(2, 5).random(3)
+        )
+
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    def test_bad_n(self, value):
+        for build in (
+            lambda: IidTwoPoint(0.5, 2.0, 0.0, n=value),
+            lambda: IidLognormal(1.0, value),
+            lambda: default_factor_scenario(value),
+            lambda: two_point_scenario(p=0.5, n=value, hi=2.0),
+        ):
+            with pytest.raises(ConfigError):
+                build()
+
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    def test_bad_monte_carlo_arguments(self, value):
+        with pytest.raises(ConfigError):
+            mc_type1(NULL_TP, 0.1, replications=value, seed=1)
+        with pytest.raises(ConfigError):
+            mc_power(NULL_TP, 0.1, replications=10, seed=value)
+        with pytest.raises(ConfigError):
+            mc_demimartingale(NULL_TP, k=value, g=g_constant(), replications=10, seed=0)
+        with pytest.raises(ConfigError):
+            replication_stream(value, 0)
+        with pytest.raises(ConfigError):
+            replication_stream(0, value)
+
+
 class TestGenerators:
     def test_iid_two_point_support_and_regime(self):
         ev = generate(NULL_TP, replication_stream(0, 0))
@@ -176,7 +226,8 @@ FAMILIES = (NULL_TP, IidLognormal(0.7, 4), default_factor_scenario(5), Adversari
 
 
 def _sample(scenario, seed, replications):
-    return np.concatenate(list(_sample_blocks(scenario, seed, replications)))
+    blocks = _sample_blocks(partial(_sample_rows, scenario), seed, replications)
+    return np.concatenate(list(blocks))
 
 
 class TestBlockSampler:
@@ -237,6 +288,22 @@ class TestBlockSampler:
                 tracemalloc.stop()
 
         mc_type1(NULL_TP, 0.1, _BLOCK, seed=5)
+        assert peak(16) <= 1.25 * peak(2)
+
+    def test_class_memo_does_not_grow_with_replications(self):
+        """A many-class law: the per-call verdicts hold at most one entry
+        per outcome class, so the peak stays flat from 2 to 16 blocks."""
+        scenario = parse_scenario("factor:default,n=200")
+
+        def peak(blocks):
+            tracemalloc.start()
+            try:
+                mc_power(scenario, 0.05, blocks * _BLOCK, seed=5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        mc_power(scenario, 0.05, _BLOCK, seed=5)
         assert peak(16) <= 1.25 * peak(2)
 
 
@@ -310,8 +377,8 @@ class TestBatchKernels:
         """On every small grid row, including rows whose statistic sits
         exactly on the threshold (max average of (8, 0) is 4, both
         statistics of (2, 2, 2, 0.5) are 4), the Monte Carlo verdict is
-        the report's verdict, per row and grouped by outcome class with
-        the grid as the support."""
+        the report's verdict, per row and as its outcome class's verdict
+        on the canonical row, with the grid as the support."""
         grid = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
         support = _log(np.array(grid))
         runners = {
@@ -323,10 +390,12 @@ class TestBatchKernels:
         }
         for n in (1, 2, 3, 4):
             log_rows = _log(np.array(list(itertools.product(grid, repeat=n))))
-            assert len(_outcome_classes(log_rows, support)[0]) == math.comb(n + 5, 5)
+            codes = np.searchsorted(support, log_rows).T.astype(np.int8)
             for alpha in (0.5, 0.25, 0.125):
                 per_row = _reject_rows(log_rows, alpha)
-                grouped = _reject_rows(log_rows, alpha, support)
+                verdicts = {}
+                grouped = _reject_codes(codes, support, alpha, verdicts)
+                assert len(verdicts) == math.comb(n + 5, 5)
                 for i, row in enumerate(log_rows):
                     ev = EValueVector(row)
                     for kind, runner in runners.items():
@@ -357,11 +426,15 @@ def _class_bound(scenario):
     return len(getattr(scenario, "levels", (None,))) * (scenario.n + 1)
 
 
-def _assert_same_verdicts(log_rows, alpha, support):
-    grouped = _reject_rows(log_rows, alpha, support)
-    per_row = _reject_rows(log_rows, alpha)
+def _assert_same_verdicts(codes, support, alpha):
+    """Verdicts by outcome class equal per-row verdicts; returns the
+    classes decided."""
+    verdicts = {}
+    grouped = _reject_codes(codes, support, alpha, verdicts)
+    per_row = _reject_rows(np.ascontiguousarray(support[codes].T), alpha)
     for kind in StatKind:
         np.testing.assert_array_equal(grouped[kind], per_row[kind], err_msg=kind.value)
+    return verdicts
 
 
 class TestOutcomeClasses:
@@ -380,53 +453,110 @@ class TestOutcomeClasses:
         scenario = parse_scenario(spec)
         support = _log_support(scenario)
         for seed in (1, 2):
-            log_rows = _sample_rows(scenario, replication_stream(seed, 0), _BLOCK)
-            first, inverse = _outcome_classes(log_rows, support)
-            assert len(first) <= _class_bound(scenario)
-            np.testing.assert_array_equal(inverse[first], np.arange(len(first)))
+            codes = _sample_codes(scenario, support, replication_stream(seed, 0), _BLOCK)
             for alpha in (0.5, 0.05):
-                _assert_same_verdicts(log_rows, alpha, support)
+                verdicts = _assert_same_verdicts(codes, support, alpha)
+                assert 1 <= len(verdicts) <= _class_bound(scenario)
 
     @pytest.mark.parametrize("spec", CLI_SPECS[:4])
-    def test_run_decides_each_class_once(self, spec, monkeypatch):
-        """The Monte Carlo loop hands the kernels one row per class, and
-        its summary equals the per-row run's."""
+    def test_run_decides_each_class_at_most_once(self, spec, monkeypatch):
+        """Across the blocks of one Monte Carlo call, each outcome class
+        reaches the kernels at most once, as its canonical row (support
+        points ascending), and the summary equals the per-row run's."""
         scenario = parse_scenario(spec)
         grouped = mc_power(scenario, 0.05, 2 * _BLOCK + 7, seed=4)
-        rows_seen = []
-        real = simlab.optimize_lambda_batch
+        seen = {kernel: [] for kernel in ("log_averages_batch", "optimize_lambda_batch")}
+        for kernel, rows_seen in seen.items():
+            real = getattr(simlab, kernel)
 
-        def spy(log_rows):
-            rows_seen.append(len(log_rows))
-            return real(log_rows)
+            def spy(log_rows, real=real, rows_seen=rows_seen):
+                rows_seen.extend(map(tuple, log_rows))
+                return real(log_rows)
 
-        monkeypatch.setattr(simlab, "optimize_lambda_batch", spy)
+            monkeypatch.setattr(simlab, kernel, spy)
         mc_power(scenario, 0.05, 2 * _BLOCK + 7, seed=4)
-        assert len(rows_seen) == 3 and max(rows_seen) <= _class_bound(scenario)
-        monkeypatch.setattr(simlab, "_log_support", lambda scenario: None)
+        for rows_seen in seen.values():
+            assert 1 <= len(rows_seen) <= _class_bound(scenario)
+            assert len(set(rows_seen)) == len(rows_seen)
+            assert all(list(row) == sorted(row) for row in rows_seen)
+        monkeypatch.undo()
+        monkeypatch.setattr(simlab, "_class_weights", lambda n, points: None)
         per_row = mc_power(scenario, 0.05, 2 * _BLOCK + 7, seed=4)
         assert grouped.rejection_rate == per_row.rejection_rate
         assert grouped.dominance_violations == per_row.dominance_violations
 
-    def test_unmatched_entry_falls_back_to_rows(self):
-        scenario = default_factor_scenario(8)
-        support = _log_support(scenario)
-        log_rows = _sample_rows(scenario, replication_stream(3, 0), 512)
-        log_rows[17, 5] = np.nextafter(log_rows[17, 5], math.inf)
-        assert _outcome_classes(log_rows, support) is None
-        _assert_same_verdicts(log_rows, 0.05, support)
-
     def test_key_overflow_falls_back_to_rows(self):
         """Class keys are the counts in base n + 1: with n = 2, 39
-        support points fit in an int64 (3^39 < 2^63) and 40 do not."""
-        values = 0.25 * np.arange(1, 41)
-        rows = np.random.default_rng(5).choice(values, size=(1000, 2))
-        log_rows = np.log(rows)
-        below_ten = log_rows[(rows < 10).all(axis=1)]
-        assert _outcome_classes(below_ten, np.log(values[:39])) is not None
-        support = np.log(values)
-        assert _outcome_classes(log_rows, support) is None
-        _assert_same_verdicts(log_rows, 1 / 3, support)
+        support points fit in an int64 (3^39 < 2^63) and 40 do not; a
+        block whose keys might overflow is decided row by row."""
+        assert _class_weights(2, 39) is not None and _class_weights(2, 40) is None
+        support = np.log(0.25 * np.arange(1, 41))
+        codes = np.random.default_rng(5).integers(0, 40, size=(2, 1000)).astype(np.int8)
+        assert _assert_same_verdicts(codes, support, 1 / 3) == {}
+        below = codes[:, (codes < 39).all(axis=0)]
+        assert len(_assert_same_verdicts(below, support[:39], 1 / 3)) > 100
+
+
+def _where_rows(scenario, rng, rows):
+    """Log e-values drawn the way the sampler drew them before support
+    codes: a broadcast np.where on the log support points."""
+    with np.errstate(divide="ignore"):
+        if isinstance(scenario, AdversarialScenario):
+            u = rng.random((rows, 2))
+            tails = np.where(u[:, 1:] < 0.125, [-math.inf, math.log(8.0)], -math.inf)
+            return np.where(u[:, :1] < 0.5, [math.log(2.0), 0.0], tails)
+        u = rng.random((rows, scenario.n + 1))
+        levels = scenario.levels
+        cumulative = np.cumsum([level.prob for level in levels])
+        pick = np.searchsorted(cumulative, u[:, :1], side="right")
+        pick = np.minimum(pick, len(levels) - 1)
+        p, hi, lo = np.array([(lv.p, lv.hi, lv.lo) for lv in levels]).T
+        return np.where(u[:, 1:] < p[pick], np.log(hi)[pick], np.log(lo)[pick])
+
+
+MANY_LEVELS = FactorScenario(
+    tuple(FactorLevel(1 / 70, 0.5, 1.0 + i / 10, 0.5 - i / 200) for i in range(70)), 5
+)
+EXTREME_SUPPORTS = [
+    pytest.param(IidTwoPoint(0.5, 1e308, 0.0, 6), id="two_point:hi=1e308,lo=0"),
+    pytest.param(IidTwoPoint(0.3, 5e-324, 1e308, 9), id="two_point:hi=5e-324,lo=1e308"),
+    pytest.param(
+        FactorScenario(
+            (FactorLevel(0.5, 0.5, 1e308, 5e-324), FactorLevel(0.5, 0.25, 0.0, 1.0)), 7
+        ),
+        id="factor:1e308,5e-324,0,1",
+    ),
+]
+CLI_LAWS = [pytest.param(parse_scenario(spec), id=spec) for spec in CLI_SPECS]
+
+
+class TestSupportCodes:
+    @pytest.mark.parametrize(
+        "scenario",
+        [*CLI_LAWS, pytest.param(MANY_LEVELS, id="factor:70_levels"), *EXTREME_SUPPORTS],
+    )
+    def test_rows_are_the_where_draws(self, scenario):
+        """Every block start draws, bit for bit, what the np.where
+        sampler drew from the same stream; the codes are (n, rows)."""
+        support = _log_support(scenario)
+        for seed, start in itertools.product((0, 13), (0, _BLOCK, 2 * _BLOCK)):
+            codes = _sample_codes(scenario, support, replication_stream(seed, start), _BLOCK)
+            assert codes.shape == (scenario.n, _BLOCK) and codes.flags.c_contiguous
+            assert codes.dtype == (np.int16 if scenario is MANY_LEVELS else np.int8)
+            rows = _sample_rows(scenario, replication_stream(seed, start), _BLOCK)
+            want = _where_rows(scenario, replication_stream(seed, start), _BLOCK)
+            assert rows.flags.c_contiguous
+            assert rows.tobytes() == want.tobytes() == support[codes].T.tobytes()
+
+    @pytest.mark.parametrize("scenario", [*CLI_LAWS, *EXTREME_SUPPORTS])
+    def test_ville_walk_is_log_wealth(self, scenario):
+        """The table-and-column walk gives log_wealth's maxima bit for bit."""
+        support = _log_support(scenario)
+        for seed in (1, 2):
+            codes = _sample_codes(scenario, support, replication_stream(seed, 0), _BLOCK)
+            want = log_wealth(support[codes].T, VILLE_DEFAULT_LAMBDA).max(axis=1)
+            for index in (codes, codes.astype(np.intp)):
+                assert _ville_peaks(index, support).tobytes() == want.tobytes()
 
 
 # ----- Monte Carlo -----
