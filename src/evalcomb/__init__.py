@@ -23,14 +23,11 @@ from .betting import (
     log_wealth,
     optimize_lambda,
     optimize_lambda_batch,
-    product_value,
-    score_derivative,
 )
 from .core import (
     EValueVector,
     LogValue,
     Regime,
-    log_from_value,
     validate_evalues,
 )
 from .errors import ConfigError, EvalcombError, ValidationError
@@ -48,7 +45,6 @@ from .simlab import (
     g_constant,
     g_threshold_indicator,
     generate,
-    mc_demimartingale,
     mc_demimartingale_sweep,
     mc_power,
     mc_type1,
@@ -57,11 +53,9 @@ from .simlab import (
 )
 from .sympoly import (
     SymmetricAverages,
-    identity_residuals,
     log_averages_batch,
     log_esp,
     log_esp_batch,
-    mixture_value,
     symmetric_averages,
 )
 from .testkit import (
@@ -84,12 +78,9 @@ __all__ = [
     "log_wealth",
     "optimize_lambda",
     "optimize_lambda_batch",
-    "product_value",
-    "score_derivative",
     "EValueVector",
     "LogValue",
     "Regime",
-    "log_from_value",
     "validate_evalues",
     "ConfigError",
     "EvalcombError",
@@ -107,18 +98,15 @@ __all__ = [
     "g_constant",
     "g_threshold_indicator",
     "generate",
-    "mc_demimartingale",
     "mc_demimartingale_sweep",
     "mc_power",
     "mc_type1",
     "replication_stream",
     "two_point_scenario",
     "SymmetricAverages",
-    "identity_residuals",
     "log_averages_batch",
     "log_esp",
     "log_esp_batch",
-    "mixture_value",
     "symmetric_averages",
     "StatKind",
     "TestReport",

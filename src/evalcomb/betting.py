@@ -22,7 +22,6 @@ log e-values; the single-vector functions are its rows = 1 case.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +34,6 @@ __all__ = [
     "BettingOptimum",
     "BettingOptima",
     "log_wealth",
-    "product_value",
-    "score_derivative",
     "optimize_lambda",
     "optimize_lambda_batch",
     "DEFAULT_LAMBDA_TOL",
@@ -135,13 +132,6 @@ def log_wealth(log_rows: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     return wealth
 
 
-def product_value(E: EValueVector, lam: float) -> LogValue:
-    """log M_n(lam) for one fraction lam in [0, 1]: the final wealth of
-    :func:`log_wealth`, so lam = 0 returns exactly 1 and a zero factor
-    forces the whole product to zero even next to infinite entries."""
-    return LogValue(float(log_wealth(E.log_values[None], float(lam))[0, -1]))
-
-
 def _inverse_excess(log_rows: np.ndarray) -> np.ndarray:
     """1 / (E - 1) entrywise: inf for E = 1, 0 for E too large for a float."""
     with np.errstate(divide="ignore", over="ignore"):
@@ -158,21 +148,6 @@ def _slope_terms(inverse_excess: np.ndarray, lam: float | np.ndarray) -> np.ndar
     Callers silence the divide-by-zero of lam = 0 against such an entry.
     """
     return 1.0 / (inverse_excess + lam)
-
-
-def score_derivative(E: EValueVector, lam: float) -> float:
-    """The derivative of log M_n at lam, an extended real.
-
-    Defined for lam in [0, 1) and finite e-values (every factor is then
-    at least 1 - lam > 0).
-    """
-    lam = float(lam)
-    if math.isnan(lam) or not (0.0 <= lam < 1.0):
-        raise ConfigError(f"lambda must lie in [0, 1) for the derivative, got {lam}")
-    if np.isposinf(E.log_values).any():
-        raise ValidationError("derivative requires finite e-values")
-    with np.errstate(divide="ignore", over="ignore"):
-        return float(np.sum(_slope_terms(_inverse_excess(E.log_values), lam)))
 
 
 def _interior_roots(

@@ -247,12 +247,9 @@ def parse_scenario(spec: str) -> Scenario:
                 ) from exc
         if "p" not in fields or "n" not in fields:
             raise ConfigError(f"two_point scenario needs p= and n=: {spec!r}")
-        n = fields["n"]
-        if not n.is_integer():
-            raise ConfigError(f"n must be an integer, got {n}")
         return two_point_scenario(
             p=fields["p"],
-            n=int(n),
+            n=fields["n"],
             lo=fields.get("lo", 0.0),
             hi=fields.get("hi"),
             mean=fields.get("mean"),
@@ -264,7 +261,7 @@ def parse_scenario(spec: str) -> Scenario:
                 f"factor scenario spec must look like factor:default,n=8: {spec!r}"
             )
         try:
-            n = int(parts[1][2:])
+            n = float(parts[1][2:])
         except ValueError as exc:
             raise ConfigError(f"bad n in scenario {spec!r}") from exc
         return default_factor_scenario(n)

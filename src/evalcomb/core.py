@@ -29,9 +29,7 @@ __all__ = [
     "Regime",
     "GUARANTEED_REGIMES",
     "EValueVector",
-    "log_from_value",
     "validate_evalues",
-    "logsumexp_1d",
 ]
 
 LOG_ZERO = float("-inf")
@@ -75,25 +73,6 @@ class LogValue:
 
     def __float__(self) -> float:
         return self.value
-
-
-def log_from_value(x: float) -> LogValue:
-    """Encode a nonnegative extended real as a :class:`LogValue`.
-
-    Raises :class:`ValidationError` for negative, NaN, or non-numeric
-    input.
-    """
-    try:
-        xf = float(x)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"not a number: {x!r}") from exc
-    if math.isnan(xf):
-        raise ValidationError("NaN is not a valid value")
-    if xf < 0:
-        raise ValidationError(f"negative value not allowed: {xf}")
-    if xf == 0.0:
-        return LogValue(LOG_ZERO)
-    return LogValue(math.log(xf))
 
 
 class Regime(enum.Enum):
@@ -197,16 +176,3 @@ def validate_evalues(
         log_arr = np.log(arr)
     return EValueVector(log_arr, regime)
 
-
-def logsumexp_1d(log_terms: np.ndarray) -> float:
-    """log(sum(exp(t))) over a 1-D array, stable against overflow.
-
-    All-(-inf) input returns -inf; any +inf term returns +inf.
-    """
-    a = np.asarray(log_terms, dtype=float)
-    if a.size == 0:
-        return LOG_ZERO
-    m = float(a.max())
-    if not math.isfinite(m):
-        return m
-    return m + math.log(float(np.sum(np.exp(a - m))))

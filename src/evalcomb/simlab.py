@@ -37,6 +37,7 @@ from __future__ import annotations
 import bisect
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -66,7 +67,6 @@ __all__ = [
     "EstimateWithError",
     "mc_type1",
     "mc_power",
-    "mc_demimartingale",
     "mc_demimartingale_sweep",
     "g_constant",
     "g_threshold_indicator",
@@ -406,6 +406,22 @@ def generate(scenario: Scenario, rng: np.random.Generator) -> EValueVector:
     return EValueVector(log_values, scenario.regime)
 
 
+@contextmanager
+def _drawable_blocks(n: int, replications: int) -> Iterator[None]:
+    """Turn blocks of replications of n entries that are too large to
+    draw into a ConfigError: before the first draw when a block's n + 1
+    draws per row are more elements than numpy can index, and when a
+    block's arrays, sampled or decided, do not fit in memory."""
+    rows = min(_BLOCK, replications)
+    too_large = f"a block of {rows} replications of n = {n} entries is too large"
+    if rows * (n + 1) > np.iinfo(np.intp).max:
+        raise ConfigError(f"{too_large} to index")
+    try:
+        yield
+    except MemoryError as exc:
+        raise ConfigError(f"{too_large} for memory") from exc
+
+
 def _sample_blocks(
     sample: Callable[[np.random.Generator, int], np.ndarray], seed: int, replications: int
 ) -> Iterator[np.ndarray]:
@@ -560,12 +576,13 @@ def _run_batch(
         sample = partial(_sample_codes, scenario, support)
         # verdicts={} is built per call: each class is decided once per call
         decide = partial(_reject_codes, support=support, alpha=alpha, verdicts={})
-    for block in _sample_blocks(sample, seed, replications):
-        reject = decide(block)
-        for kind, flags in reject.items():
-            rejected[kind] += int(np.count_nonzero(flags))
-        betting_only = reject[StatKind.OPTIMIZED_BETTING] & ~reject[StatKind.MAX_AVERAGE]
-        violations += int(np.count_nonzero(betting_only))
+    with _drawable_blocks(scenario.n, replications):
+        for block in _sample_blocks(sample, seed, replications):
+            reject = decide(block)
+            for kind, flags in reject.items():
+                rejected[kind] += int(np.count_nonzero(flags))
+            betting_only = reject[StatKind.OPTIMIZED_BETTING] & ~reject[StatKind.MAX_AVERAGE]
+            violations += int(np.count_nonzero(betting_only))
     rates = {kind: count / replications for kind, count in rejected.items()}
     return MonteCarloSummary(
         replications=replications,
@@ -647,18 +664,6 @@ def g_clipped_identity(cap: float = 10.0) -> Callable[[np.ndarray], np.ndarray]:
     return g
 
 
-def mc_demimartingale(
-    scenario: Scenario,
-    k: int,
-    g: Callable[[np.ndarray], np.ndarray],
-    replications: int,
-    seed: int,
-) -> EstimateWithError:
-    """Monte Carlo estimate of E[(A_{k+1} - A_k) g(A_0, ..., A_k)]: the
-    single-pair call of :func:`mc_demimartingale_sweep`."""
-    return mc_demimartingale_sweep(scenario, [k], [g], replications, seed)[0]
-
-
 def mc_demimartingale_sweep(
     scenario: Scenario,
     ks: Iterable[int],
@@ -701,13 +706,14 @@ def mc_demimartingale_sweep(
     gs = list(gs)
     pairs = [(k, g) for k in ks for g in gs]
     sums, squares = np.zeros(len(pairs)), np.zeros(len(pairs))
-    for log_rows in _sample_blocks(partial(_sample_rows, scenario), seed, replications):
-        averages = np.exp(log_averages_batch(log_rows)[1])
-        for i, (k, g) in enumerate(pairs):
-            deltas = averages[:, k + 1] - averages[:, k]
-            samples = deltas * np.broadcast_to(g(averages[:, : k + 1]), deltas.shape)
-            sums[i] += samples.sum()
-            squares[i] += (samples * samples).sum()
+    with _drawable_blocks(scenario.n, replications):
+        for log_rows in _sample_blocks(partial(_sample_rows, scenario), seed, replications):
+            averages = np.exp(log_averages_batch(log_rows)[1])
+            for i, (k, g) in enumerate(pairs):
+                deltas = averages[:, k + 1] - averages[:, k]
+                samples = deltas * np.broadcast_to(g(averages[:, : k + 1]), deltas.shape)
+                sums[i] += samples.sum()
+                squares[i] += (samples * samples).sum()
     means = sums / replications
     if replications > 1:
         spreads = np.sqrt(np.maximum(squares - sums * means, 0.0) / (replications - 1))
@@ -830,7 +836,8 @@ def enumerate_exact(
         raise ConfigError(
             f"scenario {type(scenario).__name__} does not have finite support"
         )
-    if len(scenario.levels) * 2**scenario.n > MAX_ENUMERATION_OUTCOMES:
+    # levels * 2^n > limit, decided without building 2^n for a huge n
+    if scenario.n >= (MAX_ENUMERATION_OUTCOMES // len(scenario.levels)).bit_length():
         raise ConfigError(
             f"outcome space {len(scenario.levels)} x 2^{scenario.n} exceeds "
             f"the enumeration limit of {MAX_ENUMERATION_OUTCOMES}"

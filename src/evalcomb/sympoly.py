@@ -19,12 +19,11 @@ is the only way the sums are computed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG_INF, LOG_ZERO, EValueVector, LogValue, logsumexp_1d
+from .core import LOG_INF, LOG_ZERO, EValueVector, LogValue
 from .errors import ConfigError, ValidationError
 
 __all__ = [
@@ -34,11 +33,7 @@ __all__ = [
     "log_binomials",
     "log_averages_batch",
     "symmetric_averages",
-    "mixture_value",
-    "identity_residuals",
 ]
-
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def log_esp(log_values: np.ndarray) -> np.ndarray:
@@ -147,63 +142,3 @@ def symmetric_averages(E: EValueVector) -> SymmetricAverages:
         log_A=log_A,
     )
 
-
-def mixture_value(E: EValueVector, lam: float) -> LogValue:
-    """The betting product at fraction lam, via the mixture identity.
-
-    prod_i (lam E_i + 1 - lam) equals sum_k C(n,k) lam^k (1-lam)^(n-k)
-    A_k, a binomial-weighted average of the A_k.  Evaluating the
-    product through this representation gives an independent route for
-    cross-checking the direct per-factor computation, and makes the
-    dominance sup_lam M_n(lam) <= max_k A_k transparent: the weights
-    are a probability vector.
-    """
-    lam = float(lam)
-    if math.isnan(lam) or not (0.0 <= lam <= 1.0):
-        raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
-    log_A = log_averages_batch(E.log_values[None])[1][0]
-    if lam == 0.0:
-        return LogValue(0.0)
-    if lam == 1.0:
-        return LogValue(float(log_A[-1]))
-    n = E.n
-    k = np.arange(n + 1, dtype=float)
-    log_weights = log_binomials(n) + k * math.log(lam) + (n - k) * math.log1p(-lam)
-    return LogValue(logsumexp_1d(log_weights + log_A))
-
-
-def identity_residuals(E: EValueVector) -> np.ndarray:
-    """Normalized residuals of the telescoping identity, all k at once.
-
-    The identity ties consecutive averages to leave-one-out symmetric
-    sums:
-
-        A_{k+1} - A_k = (1 / (n C(n-1, k))) * sum_i (E_i - 1) S_k(E_-i)
-
-    where E_-i drops entry i.  Both sides are evaluated in linear
-    domain (the right side is a signed sum, so log tricks do not
-    apply), so every symmetric sum S_k must fit in a float; that also
-    bounds the averages and the leave-one-out sums.  Entry k of the
-    result is (lhs - rhs) / max(1, A_k, A_{k+1}).
-    """
-    n = E.n
-    log_S, log_A = (v[0] for v in log_averages_batch(E.log_values[None]))
-    if not (log_S < _LOG_FLOAT_MAX).all():
-        raise ValidationError(
-            "identity check requires finite e-values whose symmetric sums "
-            "fit in linear scale"
-        )
-    e = E.values
-    A = np.exp(log_A)
-    loo = np.empty((n, n - 1))
-    for i in range(n):
-        loo[i, :i] = E.log_values[:i]
-        loo[i, i:] = E.log_values[i + 1 :]
-    loo_S = np.exp(log_esp_batch(loo))
-    residuals = np.empty(n)
-    for k in range(n):
-        lhs = A[k + 1] - A[k]
-        rhs = float((e - 1.0) @ loo_S[:, k]) / (n * math.comb(n - 1, k))
-        scale = max(1.0, A[k], A[k + 1])
-        residuals[k] = (lhs - rhs) / scale
-    return residuals

@@ -7,7 +7,7 @@ Three decision rules share one report shape:
 * ``optimized_betting``: reject when sup_lam M_n(lam) >= 1/alpha.
   Valid under the same regimes and never more powerful than
   ``max_average``, because the betting product is a binomial mixture of
-  the A_k (see :func:`evalcomb.sympoly.mixture_value`).
+  the A_k: M_n(lam) = sum_k C(n, k) lam^k (1 - lam)^(n - k) A_k.
 * ``ville_sequential``: reject when the running betting product under a
   predictable fraction sequence ever reaches 1/alpha.  Valid for
   sequential e-values, i.e. under the weakest of the three regimes.

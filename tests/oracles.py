@@ -1,5 +1,11 @@
 """Reference implementations that the package's fast paths are checked
-against.  They share no code with the paths they check."""
+against.
+
+Each reference shares no code with the path it checks, with one
+exception: :func:`identity_residuals` reads the symmetric sums and
+averages from the package's own kernel and checks a property of that
+output, the telescoping identity between consecutive averages.
+"""
 
 import itertools
 import math
@@ -8,10 +14,21 @@ from typing import Sequence
 
 import numpy as np
 
-from evalcomb.core import LOG_ZERO, EValueVector, LogValue, logsumexp_1d
+from evalcomb.core import LOG_ZERO, EValueVector, LogValue
 from evalcomb.errors import ValidationError
+from evalcomb.sympoly import log_averages_batch, log_binomials, log_esp_batch
 
 _NAIVE_MAX_N = 22
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
+def logsumexp_1d(log_terms: np.ndarray) -> float:
+    """log(sum(exp(t))) over a nonempty 1-D array, stable against
+    overflow.  All-(-inf) input returns -inf; any +inf term returns +inf."""
+    m = float(np.max(log_terms))
+    if not math.isfinite(m):
+        return m
+    return m + math.log(float(np.sum(np.exp(log_terms - m))))
 
 
 def naive_symmetric_sums(E: EValueVector) -> tuple[LogValue, ...]:
@@ -37,6 +54,72 @@ def naive_symmetric_sums(E: EValueVector) -> tuple[LogValue, ...]:
                 terms.append(sum(combo))
         out.append(LogValue(logsumexp_1d(np.array(terms))))
     return tuple(out)
+
+
+def mixture_value(E: EValueVector, lam: float) -> LogValue:
+    """The betting product at fraction lam in [0, 1], via the mixture
+    identity.
+
+    prod_i (lam E_i + 1 - lam) equals sum_k C(n,k) lam^k (1-lam)^(n-k)
+    A_k, a binomial-weighted average of the A_k.  It reaches the product
+    through the symmetric averages instead of the per-factor wealth of
+    :func:`evalcomb.betting.log_wealth`, and makes the dominance
+    sup_lam M_n(lam) <= max_k A_k transparent: the weights are a
+    probability vector.
+    """
+    log_A = log_averages_batch(E.log_values[None])[1][0]
+    if lam == 0.0:
+        return LogValue(0.0)
+    if lam == 1.0:
+        return LogValue(float(log_A[-1]))
+    n = E.n
+    k = np.arange(n + 1, dtype=float)
+    log_weights = log_binomials(n) + k * math.log(lam) + (n - k) * math.log1p(-lam)
+    return LogValue(logsumexp_1d(log_weights + log_A))
+
+
+def identity_residuals(E: EValueVector) -> np.ndarray:
+    """Normalized residuals of the telescoping identity, all k at once.
+
+    The identity ties consecutive averages to leave-one-out symmetric
+    sums:
+
+        A_{k+1} - A_k = (1 / (n C(n-1, k))) * sum_i (E_i - 1) S_k(E_-i)
+
+    where E_-i drops entry i.  Both sides are evaluated in linear
+    domain (the right side is a signed sum, so log tricks do not
+    apply), so every symmetric sum S_k must fit in a float; that also
+    bounds the averages and the leave-one-out sums.  Entry k of the
+    result is (lhs - rhs) / max(1, A_k, A_{k+1}).
+    """
+    n = E.n
+    log_S, log_A = (v[0] for v in log_averages_batch(E.log_values[None]))
+    if not (log_S < _LOG_FLOAT_MAX).all():
+        raise ValidationError(
+            "identity check requires finite e-values whose symmetric sums "
+            "fit in linear scale"
+        )
+    e = E.values
+    A = np.exp(log_A)
+    loo = np.empty((n, n - 1))
+    for i in range(n):
+        loo[i, :i] = E.log_values[:i]
+        loo[i, i:] = E.log_values[i + 1 :]
+    loo_S = np.exp(log_esp_batch(loo))
+    residuals = np.empty(n)
+    for k in range(n):
+        lhs = A[k + 1] - A[k]
+        rhs = float((e - 1.0) @ loo_S[:, k]) / (n * math.comb(n - 1, k))
+        scale = max(1.0, A[k], A[k + 1])
+        residuals[k] = (lhs - rhs) / scale
+    return residuals
+
+
+def score_derivative(E: EValueVector, lam: float) -> float:
+    """d/dlam log M_n(lam) = sum_i (E_i - 1) / ((1 - lam) + lam E_i),
+    summed as written, for finite e-values and lam in [0, 1)."""
+    e = E.values
+    return float(np.sum((e - 1.0) / ((1.0 - lam) + lam * e)))
 
 
 # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from evalcomb.betting import optimize_lambda, product_value
+from evalcomb.betting import log_wealth, optimize_lambda
 from evalcomb.core import validate_evalues
 from evalcomb.simlab import (
     AdversarialScenario,
@@ -36,9 +36,9 @@ from evalcomb.simlab import (
     mc_type1,
     two_point_scenario,
 )
-from evalcomb.sympoly import identity_residuals, log_esp, symmetric_averages
+from evalcomb.sympoly import log_esp, symmetric_averages
 from evalcomb.testkit import StatKind, test_max_average, test_optimized_betting
-from oracles import naive_symmetric_sums
+from oracles import identity_residuals, naive_symmetric_sums
 
 BATCH_KINDS = (StatKind.MAX_AVERAGE, StatKind.OPTIMIZED_BETTING)
 
@@ -198,7 +198,8 @@ def test_criterion_04_lognormal_null():
 
 def test_criterion_05_pathwise_dominance():
     rng = np.random.default_rng(5150)
-    grid = np.linspace(0.0, 1.0, 101)
+    # the 101 fractions as a column: row j of one log_wealth call bets grid[j]
+    grid = np.linspace(0.0, 1.0, 101)[:, None]
     alpha = 0.05
     worst_gap = -math.inf
     implication_breaks = 0
@@ -206,10 +207,11 @@ def test_criterion_05_pathwise_dominance():
     for _ in range(10_000):
         ev = validate_evalues(_mixed_vector(rng))
         log_max = symmetric_averages(ev).log_max.log_magnitude
-        for lam in grid:
-            gap = product_value(ev, lam).log_magnitude - log_max
-            if gap > worst_gap and not math.isnan(gap):
-                worst_gap = gap
+        log_rows = np.broadcast_to(ev.log_values, (grid.size, ev.n))
+        gaps = log_wealth(log_rows, grid)[:, -1] - log_max
+        gaps = gaps[~np.isnan(gaps)]
+        if gaps.size:
+            worst_gap = max(worst_gap, float(gaps.max()))
         gap = optimize_lambda(ev).log_value.log_magnitude - log_max
         worst_gap = max(worst_gap, gap)
         bet = test_optimized_betting(ev, alpha)

@@ -8,44 +8,44 @@ from evalcomb.betting import (
     DEFAULT_LAMBDA_TOL,
     BettingOptimum,
     Boundary,
+    log_wealth,
     optimize_lambda,
-    product_value,
-    score_derivative,
 )
-from evalcomb.core import validate_evalues
-from evalcomb.errors import ConfigError, ValidationError
+from evalcomb.core import LOG_INF, LOG_ZERO, validate_evalues
+from evalcomb.errors import ConfigError
 from evalcomb.sympoly import symmetric_averages
+from oracles import score_derivative
+
+
+def _final_wealth(values, lam):
+    """log M_n(lam): the last column of one row of log_wealth."""
+    return float(log_wealth(validate_evalues(values).log_values[None], lam)[0, -1])
 
 
 def test_product_value_oracle():
     # (1 - l + 2 l)(1 - l + 0.5 l) at l = 1/2 is 1.5 * 0.75
-    ev = validate_evalues([2.0, 0.5])
-    assert product_value(ev, 0.5).value == pytest.approx(1.125, rel=1e-12)
+    assert math.exp(_final_wealth([2.0, 0.5], 0.5)) == pytest.approx(1.125, rel=1e-12)
 
 
 def test_product_value_endpoints():
-    ev = validate_evalues([3.0, 0.0])
-    assert product_value(ev, 0.0).value == 1.0
-    assert product_value(ev, 1.0).is_zero
+    assert _final_wealth([3.0, 0.0], 0.0) == 0.0
+    assert _final_wealth([3.0, 0.0], 1.0) == LOG_ZERO
 
 
 def test_product_value_with_infinity():
-    ev = validate_evalues([math.inf, 2.0])
-    assert product_value(ev, 0.5).is_infinite
-    assert product_value(ev, 0.0).value == 1.0
+    assert _final_wealth([math.inf, 2.0], 0.5) == LOG_INF
+    assert _final_wealth([math.inf, 2.0], 0.0) == 0.0
 
 
 def test_product_zero_entry_kills_all_in_product_at_one():
     # 0 * inf = 0 under the working convention
-    ev = validate_evalues([0.0, math.inf])
-    assert product_value(ev, 1.0).is_zero
+    assert _final_wealth([0.0, math.inf], 1.0) == LOG_ZERO
 
 
 def test_product_rejects_bad_lambda():
-    ev = validate_evalues([1.0])
     for lam in (-0.01, 1.01, float("nan")):
         with pytest.raises(ConfigError):
-            product_value(ev, lam)
+            _final_wealth([1.0], lam)
 
 
 def test_derivative_oracle_at_zero():
@@ -57,26 +57,12 @@ def test_derivative_oracle_at_zero():
 
 
 def test_derivative_matches_finite_difference():
-    ev = validate_evalues([0.3, 5.0, 1.1])
+    values = [0.3, 5.0, 1.1]
+    ev = validate_evalues(values)
     h = 1e-7
     for lam in (0.2, 0.5, 0.8):
-        fd = (
-            product_value(ev, lam + h).log_magnitude
-            - product_value(ev, lam - h).log_magnitude
-        ) / (2 * h)
+        fd = (_final_wealth(values, lam + h) - _final_wealth(values, lam - h)) / (2 * h)
         assert score_derivative(ev, lam) == pytest.approx(fd, rel=1e-6)
-
-
-def test_derivative_rejects_lambda_one():
-    ev = validate_evalues([2.0])
-    with pytest.raises(ConfigError):
-        score_derivative(ev, 1.0)
-
-
-def test_derivative_rejects_infinite_entries():
-    ev = validate_evalues([math.inf])
-    with pytest.raises(ValidationError):
-        score_derivative(ev, 0.5)
 
 
 class TestOptimizeLambda:
@@ -161,11 +147,9 @@ def evalue_lists(draw):
 def test_optimum_beats_a_coarse_grid(values):
     ev = validate_evalues(values)
     opt = optimize_lambda(ev)
-    for lam in np.linspace(0.0, 1.0, 101):
-        assert (
-            opt.log_value.log_magnitude
-            >= product_value(ev, float(lam)).log_magnitude - 1e-9
-        )
+    grid = np.linspace(0.0, 1.0, 101)[:, None]
+    wealth = log_wealth(np.broadcast_to(ev.log_values, (grid.size, ev.n)), grid)
+    assert (opt.log_value.log_magnitude >= wealth[:, -1] - 1e-9).all()
 
 
 @given(evalue_lists())

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from evalcomb import __version__
+from evalcomb import __version__, simlab
 from evalcomb.cli import main, parse_scenario
 from evalcomb.errors import ConfigError
 from evalcomb.simlab import AdversarialScenario, FactorScenario, IidTwoPoint
@@ -45,6 +45,12 @@ class TestParseScenario:
         assert isinstance(sc, FactorScenario)
         assert sc.n == 8
 
+    @pytest.mark.parametrize("n", ["8", "8.0", "8e0"])
+    def test_integral_n_spellings(self, n):
+        """Both families read n by one rule: any integral float."""
+        assert parse_scenario(f"two_point:p=0.5,hi=2,n={n}").n == 8
+        assert parse_scenario(f"factor:default,n={n}").n == 8
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -60,6 +66,8 @@ class TestParseScenario:
             "factor:custom,n=3",
             "factor:default",
             "factor:default,n=x",
+            "factor:default,n=2.5",
+            "factor:default,n=inf",
         ],
     )
     def test_rejects_malformed_specs(self, spec):
@@ -503,6 +511,28 @@ class TestSimulate:
             ["simulate", "--scenario", "weird:stuff", "--alpha", "0.5", "--reps", "10"],
         )
         assert code == 3
+
+    @pytest.mark.parametrize("spec", ["two_point:p=0.5,hi=2,n=1e30", "factor:default,n=1e30"])
+    def test_block_numpy_cannot_index_is_config_error(self, capsys, spec):
+        argv = ["simulate", "--scenario", spec, "--alpha", "0.5", "--reps", "10"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too large to index" in err
+
+    def test_block_out_of_memory_is_config_error(self, capsys, monkeypatch):
+        """An allocation failure of a block, simulated without allocating."""
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(simlab, "_sample_codes", out_of_memory)
+        argv = ["simulate", "--scenario", "two_point:p=0.5,hi=2,n=1e10",
+                "--alpha", "0.5", "--reps", "10"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too large for memory" in err
 
 
 # ----- enumerate -----

@@ -11,8 +11,6 @@ from evalcomb.core import (
     LogValue,
     Regime,
     GUARANTEED_REGIMES,
-    log_from_value,
-    logsumexp_1d,
     validate_evalues,
 )
 from evalcomb.errors import ValidationError
@@ -40,19 +38,6 @@ class TestLogValue:
     def test_huge_log_saturates(self):
         # exp would overflow; the linear view saturates instead of raising
         assert LogValue(1e4).value == math.inf
-
-
-def test_log_from_value_negative_rejected():
-    with pytest.raises(ValidationError):
-        log_from_value(-0.5)
-
-
-def test_log_from_value_edge_cases():
-    assert log_from_value(0.0).is_zero
-    assert log_from_value(math.inf).is_infinite
-    assert log_from_value(1.0).log_magnitude == 0.0
-    with pytest.raises(ValidationError):
-        log_from_value(float("nan"))
 
 
 class TestValidateEvalues:
@@ -155,22 +140,6 @@ class TestEValueVector:
         ev = EValueVector(raw)
         raw[0] = 99.0
         assert ev.log_values[0] == 0.0
-
-
-def test_logsumexp_empty_is_log_zero():
-    assert logsumexp_1d(np.array([])) == LOG_ZERO
-
-
-def test_logsumexp_matches_direct_sum():
-    rng = np.random.default_rng(11)
-    logs = rng.normal(size=40)
-    expected = math.log(np.exp(logs).sum())
-    assert logsumexp_1d(logs) == pytest.approx(expected, rel=1e-13)
-
-
-def test_logsumexp_with_infinite_term():
-    assert logsumexp_1d(np.array([0.0, LOG_INF])) == LOG_INF
-    assert logsumexp_1d(np.array([LOG_ZERO, LOG_ZERO])) == LOG_ZERO
 
 
 def test_guaranteed_regimes():

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,6 +14,9 @@ from evalcomb._ratpoly import (
     poly_max_reaches,
     sturm_chain,
 )
+from evalcomb.betting import optimize_lambda_batch
+from evalcomb.sympoly import log_averages_batch
+from evalcomb.testkit import decide_batch
 from oracles import poly_derivative, poly_divmod, poly_eval, poly_mul
 
 F = Fraction
@@ -220,3 +225,48 @@ def test_root_counts_match_the_fraction_reference(roots, lead, a, b):
 def test_root_counts_of_any_polynomial_match_the_fraction_reference(poly, a, b):
     a, b = sorted((a, b))
     assert count_roots_between(poly, a, b) == oracles.count_roots_between(poly, a, b)
+
+
+# ----- the float pipeline's verdicts against the exact decisions -----
+
+GRID = [F(0), F(1, 4), F(1, 2), F(1), F(3, 2), F(2), F(3), F(4), F(8)]
+ALPHAS = (0.5, 1 / 3, 0.25, 0.2, 0.1, 0.05, 0.01)
+
+
+def _tangent(b: int, copies: int) -> tuple[list[Fraction], list[Fraction]]:
+    """(0, b) repeated, with its betting supremum (b^2 / (4 (b - 1)))^copies."""
+    return [F(0), F(b)] * copies, [F(b * b, 4 * (b - 1)) ** copies]
+
+
+vectors = st.one_of(
+    st.lists(st.sampled_from(GRID), min_size=1, max_size=8).map(lambda v: (v, [])),
+    st.builds(_tangent, st.sampled_from([3, 4, 8]), st.integers(1, 4)),
+)
+
+
+@given(vectors)
+@example(([F(0), F(8)], [F(4), F(16, 7)]))
+@example(([F(1)] * 8, []))
+@settings(max_examples=300, deadline=None)
+def test_float_verdicts_match_exact_verdicts(case):
+    """decide_batch on the float kernels gives the exact verdicts of the
+    integer kernels wherever the log statistic is more than the snap band
+    from the log threshold.  The thresholds are a grid of levels, the
+    exact max average itself and, for (0, b) repeated, the exact betting
+    supremum; each is decided exactly at 1/Fraction(alpha) for the float
+    alpha that the float path uses."""
+    values, known_maxima = case
+    sums = esp_fractions(values)
+    top = max(s / math.comb(len(values), k) for k, s in enumerate(sums))
+    alphas = [*ALPHAS, *(float(1 / t) for t in (top, *known_maxima))]
+    with np.errstate(divide="ignore"):
+        log_rows = np.log(np.array(values, dtype=float))[None]
+    log_statistics = {
+        max_average_reaches: log_averages_batch(log_rows)[1].max(axis=1),
+        poly_max_reaches: optimize_lambda_batch(log_rows).log_value,
+    }
+    for alpha in (a for a in alphas if 0.0 < a < 1.0):
+        for exact_reaches, log_statistic in log_statistics.items():
+            _, log_threshold, reject = decide_batch(log_statistic, alpha)
+            if abs(log_statistic[0] - log_threshold) > 5e-13:
+                assert bool(reject[0]) == exact_reaches(values, 1 / Fraction(alpha))

@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -36,7 +38,6 @@ from evalcomb.simlab import (
     g_constant,
     g_threshold_indicator,
     generate,
-    mc_demimartingale,
     mc_demimartingale_sweep,
     mc_power,
     mc_type1,
@@ -159,7 +160,7 @@ class TestIntegerArguments:
         b = mc_type1(NULL_TP, 0.1, replications=300.0, seed=4.0)
         assert (a.replications, a.seed) == (b.replications, b.seed) == (300, 4)
         assert a.rejection_rate == b.rejection_rate
-        est = mc_demimartingale(NULL_TP, k=np.int16(1), g=g_constant(), replications=50, seed=0)
+        [est] = mc_demimartingale_sweep(NULL_TP, [np.int16(1)], [g_constant()], 50, seed=0)
         assert est.k == 1
         np.testing.assert_array_equal(
             replication_stream(2.0, np.int64(5)).random(3), replication_stream(2, 5).random(3)
@@ -183,7 +184,7 @@ class TestIntegerArguments:
         with pytest.raises(ConfigError):
             mc_power(NULL_TP, 0.1, replications=10, seed=value)
         with pytest.raises(ConfigError):
-            mc_demimartingale(NULL_TP, k=value, g=g_constant(), replications=10, seed=0)
+            mc_demimartingale_sweep(NULL_TP, [value], [g_constant()], 10, seed=0)
         with pytest.raises(ConfigError):
             replication_stream(value, 0)
         with pytest.raises(ConfigError):
@@ -634,39 +635,34 @@ class TestMonteCarlo:
 
 class TestDemimartingale:
     def test_constant_g_is_near_zero(self):
-        est = mc_demimartingale(NULL_TP, k=1, g=g_constant(), replications=20_000, seed=4)
+        [est] = mc_demimartingale_sweep(NULL_TP, [1], [g_constant()], 20_000, seed=4)
         assert abs(est.estimate) <= 4 * est.standard_error
 
     def test_requires_iid_scenario(self):
         with pytest.raises(ConfigError):
-            mc_demimartingale(default_factor_scenario(4), 0, g_constant(), 100, 0)
+            mc_demimartingale_sweep(default_factor_scenario(4), [0], [g_constant()], 100, 0)
         with pytest.raises(ConfigError):
-            mc_demimartingale(AdversarialScenario(), 0, g_constant(), 100, 0)
+            mc_demimartingale_sweep(AdversarialScenario(), [0], [g_constant()], 100, 0)
 
     def test_requires_exact_mean_one(self):
         with pytest.raises(ConfigError):
-            mc_demimartingale(
-                two_point_scenario(p=0.5, n=4, mean=1.2), 0, g_constant(), 100, 0
+            mc_demimartingale_sweep(
+                two_point_scenario(p=0.5, n=4, mean=1.2), [0], [g_constant()], 100, 0
             )
 
     def test_k_range(self):
         with pytest.raises(ConfigError):
-            mc_demimartingale(NULL_TP, k=NULL_TP.n, g=g_constant(), replications=10, seed=0)
+            mc_demimartingale_sweep(NULL_TP, [NULL_TP.n], [g_constant()], 10, seed=0)
         with pytest.raises(ConfigError):
-            mc_demimartingale(NULL_TP, k=-1, g=g_constant(), replications=10, seed=0)
+            mc_demimartingale_sweep(NULL_TP, [-1], [g_constant()], 10, seed=0)
 
     def test_sweep_matches_single_calls(self):
         gs = [g_constant(), g_threshold_indicator(1.2), g_clipped_identity(10.0)]
         sweep = mc_demimartingale_sweep(NULL_TP, [0, 2], gs, 2_000, seed=12)
         assert len(sweep) == 6
         for est in sweep:
-            single = mc_demimartingale(
-                NULL_TP,
-                est.k,
-                next(g for g in gs if g.label == est.g_label),
-                2_000,
-                seed=12,
-            )
+            g = next(g for g in gs if g.label == est.g_label)
+            [single] = mc_demimartingale_sweep(NULL_TP, [est.k], [g], 2_000, seed=12)
             assert single == est
 
     def test_g_factory_labels(self):
@@ -740,6 +736,22 @@ class TestEnumerateExact:
         assert 2**21 > MAX_ENUMERATION_OUTCOMES
         with pytest.raises(ConfigError):
             enumerate_exact(big, 2, StatKind.MAX_AVERAGE)
+
+    def test_outcome_budget_guard_does_not_build_two_to_the_n(self):
+        """n = 10^30 is refused at once; building 2^n would spin until
+        killed, so the call runs in a subprocess with a deadline."""
+        code = (
+            "from evalcomb.errors import ConfigError\n"
+            "from evalcomb.simlab import enumerate_exact, two_point_scenario\n"
+            "try:\n"
+            "    enumerate_exact(two_point_scenario(p=0.5, n=1e30, hi=2.0), 2, 'max_average')\n"
+            "except ConfigError:\n"
+            "    print('refused')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=10
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "refused\n", "")
 
     def test_unknown_statistic_string(self):
         with pytest.raises(ConfigError):
