@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG_INF, LOG_ZERO, EValueVector, LogValue
-from .errors import ConfigError, ValidationError
+from .core import LOG_INF, LOG_ZERO, EValueVector, LogValue, _checked_rows
+from .errors import ConfigError
 
 __all__ = [
     "Boundary",
@@ -36,10 +36,10 @@ __all__ = [
     "log_wealth",
     "optimize_lambda",
     "optimize_lambda_batch",
-    "DEFAULT_LAMBDA_TOL",
+    "LAMBDA_TOL",
 ]
 
-DEFAULT_LAMBDA_TOL = 1e-10
+LAMBDA_TOL = 1e-10
 _MAX_STEPS = 100
 
 
@@ -85,13 +85,6 @@ class BettingOptima:
     iterations: np.ndarray
     achieved_tol: np.ndarray
     infinite_evidence: np.ndarray
-
-
-def _checked_rows(log_rows: np.ndarray) -> np.ndarray:
-    log_rows = np.asarray(log_rows, dtype=float)
-    if log_rows.ndim != 2:
-        raise ValidationError("expected a 2-D matrix of log e-values")
-    return log_rows
 
 
 def _log_factors(log_values: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
@@ -150,24 +143,22 @@ def _slope_terms(inverse_excess: np.ndarray, lam: float | np.ndarray) -> np.ndar
     return 1.0 / (inverse_excess + lam)
 
 
-def _interior_roots(
-    log_rows: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _interior_roots(log_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Root of the derivative for each row whose maximum is interior.
 
     Every row keeps a bracket [lo, hi] with a positive derivative at lo
-    and a non-positive one at hi, starting from [0, 1].  The next point
-    is the Newton step carried tol/2 past the predicted root, so that
-    the bracket closes from both sides.  Bisection replaces the step
-    when it would leave the bracket or is longer than the step before
-    last, which stops slow one-sided crawls.  No Newton target lies
-    past 1 - tol/2, because lam = 1 is never evaluated: a step that
-    would reach it tries 1 - tol/2 instead, which settles a root within
-    tol/2 of 1 at once, where bisection took about thirty more steps,
-    and costs any other row at most one evaluation.  A row is done once
-    its bracket is at most 2 tol wide (or after _MAX_STEPS derivative
-    evaluations); its root is the bracket's midpoint and achieved_tol
-    the bracket's half-width.
+    and a non-positive one at hi, starting from [0, 1].  With tol =
+    LAMBDA_TOL, the next point is the Newton step carried tol/2 past the
+    predicted root, so that the bracket closes from both sides.
+    Bisection replaces the step when it would leave the bracket or is
+    longer than the step before last, which stops slow one-sided crawls.
+    No Newton target lies past 1 - tol/2, because lam = 1 is never
+    evaluated: a step that would reach it tries 1 - tol/2 instead, which
+    settles a root within tol/2 of 1 at once, where bisection took about
+    thirty more steps, and costs any other row at most one evaluation.
+    A row is done once its bracket is at most 2 tol wide (or after
+    _MAX_STEPS derivative evaluations); its root is the bracket's
+    midpoint and achieved_tol the bracket's half-width.
 
     Returns (lambda, derivative evaluations, achieved_tol) per row.
     """
@@ -178,6 +169,7 @@ def _interior_roots(
     active = np.arange(k)
     lo, hi, x = np.zeros(k), np.ones(k), np.zeros(k)
     step, prev_step = np.ones(k), np.ones(k)
+    tol = LAMBDA_TOL
     nudge = 0.5 * tol
     # Infinite terms (lam = 0 against a saturated entry) and the NaN
     # steps they make only ever send a row to bisection.
@@ -216,11 +208,9 @@ def _interior_roots(
     return out_lam, out_steps, out_tol
 
 
-def optimize_lambda_batch(
-    log_rows: np.ndarray, tol: float = DEFAULT_LAMBDA_TOL
-) -> BettingOptima:
+def optimize_lambda_batch(log_rows: np.ndarray) -> BettingOptima:
     """Maximize log M_n(lam) over lam in [0, 1] for every row, to within
-    tol in lam.
+    LAMBDA_TOL in lam.
 
     Rows with an infinite entry are flagged (every interior lam already
     gives an infinite product) instead of searched.  Boundary maxima are
@@ -231,9 +221,6 @@ def optimize_lambda_batch(
     ``achieved_tol``.  The value of a row at one or inside is its final
     wealth at the returned lam, and at least 0 (the value of lam = 0).
     """
-    tol = float(tol)
-    if not tol > 0.0:
-        raise ConfigError(f"tolerance must be positive, got {tol}")
     log_rows = _checked_rows(log_rows)
     rows = log_rows.shape[0]
     infinite = (log_rows == LOG_INF).any(axis=1)
@@ -254,21 +241,18 @@ def optimize_lambda_batch(
     lam[at_one] = 1.0
     boundary[at_one] = Boundary.AT_ONE
     if interior.any():
-        lam[interior], iterations[interior], achieved_tol[interior] = _interior_roots(
-            log_rows[interior], tol
-        )
+        roots = _interior_roots(log_rows[interior])
+        lam[interior], iterations[interior], achieved_tol[interior] = roots
     if undecided.any():
         final = log_wealth(log_rows[undecided], lam[undecided, None])[:, -1]
         log_value[undecided] = np.maximum(final, 0.0)
     return BettingOptima(lam, log_value, boundary, iterations, achieved_tol, infinite)
 
 
-def optimize_lambda(
-    E: EValueVector, tol: float = DEFAULT_LAMBDA_TOL
-) -> BettingOptimum:
-    """Maximize log M_n(lam) over lam in [0, 1] to within tol in lam:
-    the rows = 1 case of :func:`optimize_lambda_batch`."""
-    best = optimize_lambda_batch(E.log_values[None], tol)
+def optimize_lambda(E: EValueVector) -> BettingOptimum:
+    """Maximize log M_n(lam) over lam in [0, 1] to within LAMBDA_TOL in
+    lam: the rows = 1 case of :func:`optimize_lambda_batch`."""
+    best = optimize_lambda_batch(E.log_values[None])
     return BettingOptimum(
         lambda_star=float(best.lambda_star[0]),
         log_value=LogValue(float(best.log_value[0])),

@@ -220,6 +220,15 @@ def _parse_stats(text: str) -> list[StatKind]:
     return kinds
 
 
+def _scenario_n(text: str) -> int | float:
+    """n as written: an integer literal exactly, any other number (8.0,
+    8e0) as a float, which the scenario accepts when it is integral."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def parse_scenario(spec: str) -> Scenario:
     """Parse a scenario spec string.
 
@@ -240,7 +249,7 @@ def parse_scenario(spec: str) -> Scenario:
             if key in fields:
                 raise ConfigError(f"duplicate field {key!r} in scenario {spec!r}")
             try:
-                fields[key] = float(value)
+                fields[key] = _scenario_n(value) if key == "n" else float(value)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for {key!r} in scenario {spec!r}"
@@ -261,7 +270,7 @@ def parse_scenario(spec: str) -> Scenario:
                 f"factor scenario spec must look like factor:default,n=8: {spec!r}"
             )
         try:
-            n = float(parts[1][2:])
+            n = _scenario_n(parts[1][2:])
         except ValueError as exc:
             raise ConfigError(f"bad n in scenario {spec!r}") from exc
         return default_factor_scenario(n)

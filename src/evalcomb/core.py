@@ -36,6 +36,14 @@ LOG_ZERO = float("-inf")
 LOG_INF = float("inf")
 
 
+def _checked_rows(log_rows: np.ndarray) -> np.ndarray:
+    """log_rows as a float matrix, the input of every row-wise kernel."""
+    log_rows = np.asarray(log_rows, dtype=float)
+    if log_rows.ndim != 2:
+        raise ValidationError("expected a 2-D matrix of log e-values")
+    return log_rows
+
+
 @dataclass(frozen=True)
 class LogValue:
     """A number in [0, inf] stored as its natural logarithm.

@@ -22,11 +22,14 @@ O(``_BLOCK`` * n) whatever the number of replications.
 On a law with finite support (every scenario but the lognormal one)
 a block is drawn as support codes: an (n, rows) matrix of small-integer
 indices into the law's sorted log support points, one column per row.
-Both batch statistics are symmetric in the entries, so a row's verdict
-depends only on its outcome class, how many of its entries take each
-support point.  Each class is decided once per call, on its canonical
-row (the support points repeated by their counts, in ascending order),
-and the verdict is shared by every row of the class in every block.
+The sampler also names each row's outcome class: its factor level and
+its count of hi entries (a two-point law has one level), or its
+outcome of the adversarial law; these are the classes the exact
+enumerator sums over.  Both batch statistics are symmetric in the
+entries, so a row's verdict depends only on its class.  Each class is
+decided once per call, on its canonical row (one member's entries in
+ascending order), and the verdict is shared by every row of the class
+in every block.
 The Ville statistic depends on the order of the entries: it is read
 from a table of per-support-point log factors, walking the n columns
 with a running sum and a running maximum.
@@ -41,7 +44,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, ClassVar, Iterable, Iterator, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -86,6 +89,8 @@ MAX_ENUMERATION_OUTCOMES = 10**6
 _BLOCK = 4096
 """Replications per block of the Monte Carlo loop (see the module
 docstring: changing it changes which stream each row is drawn from)."""
+
+_Block = TypeVar("_Block")
 
 
 def _checked_int(name: str, value: float, minimum: int) -> int:
@@ -326,11 +331,15 @@ def replication_stream(seed: int, replication: int) -> np.random.Generator:
     return np.random.default_rng([seed, replication])
 
 
-_ADVERSARIAL_LOG_OUTCOMES = np.array(
-    [[math.log(2.0), 0.0], [LOG_ZERO, math.log(8.0)], [LOG_ZERO, LOG_ZERO]]
+_ADVERSARIAL_LAW: tuple[tuple[tuple[Fraction, Fraction], Fraction], ...] = (
+    ((Fraction(2), Fraction(1)), Fraction(1, 2)),
+    ((Fraction(0), Fraction(8)), Fraction(1, 16)),
+    ((Fraction(0), Fraction(0)), Fraction(7, 16)),
 )
-"""Log (E_1, E_2) of the adversarial law's outcomes (2, 1), (0, 8) and
-(0, 0), which have probabilities 1/2, 1/16 and 7/16."""
+
+_ADVERSARIAL_LOG_OUTCOMES = np.array(
+    [[math.log(e) if e else LOG_ZERO for e in values] for values, _ in _ADVERSARIAL_LAW]
+)
 
 
 def _level_log_points(levels: Sequence[FactorLevel]) -> np.ndarray:
@@ -351,10 +360,16 @@ def _log_support(scenario: Scenario) -> np.ndarray | None:
 
 def _sample_codes(
     scenario: Scenario, support: np.ndarray, rng: np.random.Generator, rows: int
-) -> np.ndarray:
-    """Support codes of ``rows`` replications of a finite-support law:
-    an (n, rows) matrix whose column r holds row r's entries as indices
-    into ``support``, the law's :func:`_log_support`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Support codes and outcome classes of ``rows`` replications of a
+    finite-support law.
+
+    The codes are an (n, rows) matrix whose column r holds row r's
+    entries as indices into ``support``, the law's :func:`_log_support`.
+    The classes are one integer per row: level * (n + 1) + the count of
+    hi entries for a two-point or factor row, the outcome's index in
+    ``_ADVERSARIAL_LAW`` for an adversarial row.  Rows of one class hold
+    the same support points, each as often, in some order.
 
     Draws are taken row-major: n + 1 uniforms per two-point or factor
     row (the level first) and 2 uniforms per adversarial row.  The first
@@ -367,7 +382,7 @@ def _sample_codes(
         u = rng.random((rows, 2))
         outcome = np.where(u[:, 0] < 0.5, 0, np.where(u[:, 1] < 0.125, 1, 2))
         outcome_codes = np.searchsorted(support, _ADVERSARIAL_LOG_OUTCOMES)
-        return np.take(outcome_codes.T.astype(code_type), outcome, axis=1)
+        return np.take(outcome_codes.T.astype(code_type), outcome, axis=1), outcome
     levels = scenario.levels
     hi_code, lo_code = np.searchsorted(support, _level_log_points(levels)).T.astype(code_type)
     u = rng.random((rows, scenario.n + 1))
@@ -376,7 +391,8 @@ def _sample_codes(
     hit = np.less(u[:, 1:].T, np.array([level.p for level in levels])[pick], order="C")
     # integer arithmetic on the hit mask: a broadcast np.where on it is
     # about twenty times slower on a (20, 4096) block
-    return lo_code[pick] + (hi_code - lo_code)[pick] * hit
+    codes = lo_code[pick] + (hi_code - lo_code)[pick] * hit
+    return codes, pick * (scenario.n + 1) + np.count_nonzero(hit, axis=0)
 
 
 def _sample_rows(scenario: Scenario, rng: np.random.Generator, rows: int) -> np.ndarray:
@@ -389,7 +405,7 @@ def _sample_rows(scenario: Scenario, rng: np.random.Generator, rows: int) -> np.
     """
     support = _log_support(scenario)
     if support is not None:
-        codes = _sample_codes(scenario, support, rng, rows)
+        codes, _ = _sample_codes(scenario, support, rng, rows)
         return np.ascontiguousarray(support[codes].T)
     if isinstance(scenario, IidLognormal):
         sigma = scenario.sigma
@@ -423,8 +439,8 @@ def _drawable_blocks(n: int, replications: int) -> Iterator[None]:
 
 
 def _sample_blocks(
-    sample: Callable[[np.random.Generator, int], np.ndarray], seed: int, replications: int
-) -> Iterator[np.ndarray]:
+    sample: Callable[[np.random.Generator, int], _Block], seed: int, replications: int
+) -> Iterator[_Block]:
     """``sample(rng, rows)`` for replications 0 .. replications - 1, one
     block of at most ``_BLOCK`` rows at a time; the block starting at
     replication r is drawn from ``replication_stream(seed, r)``."""
@@ -437,24 +453,20 @@ def _sample_blocks(
 # batch decisions
 
 
-def _reject_rows(log_rows: np.ndarray, alpha: float) -> dict[StatKind, np.ndarray]:
-    """Every statistic's verdict on every row: the kernels and the
-    decision rule of the single-vector tests, applied to all rows."""
+def _batch_verdicts(log_rows: np.ndarray, alpha: float) -> dict[StatKind, np.ndarray]:
+    """The max-average and betting verdicts on every row."""
     log_statistics = {
         StatKind.MAX_AVERAGE: log_averages_batch(log_rows)[1].max(axis=1),
         StatKind.OPTIMIZED_BETTING: optimize_lambda_batch(log_rows).log_value,
-        StatKind.VILLE_SEQUENTIAL: log_wealth(log_rows, VILLE_DEFAULT_LAMBDA).max(axis=1),
     }
     return {kind: decide_batch(ls, alpha)[2] for kind, ls in log_statistics.items()}
 
 
-def _class_weights(n: int, points: int) -> np.ndarray | None:
-    """Place value (n + 1)^i of support point i in an outcome class's
-    key, its counts written in base n + 1; None when a key might not
-    fit in an int64."""
-    if (n + 1) ** points > np.iinfo(np.int64).max:
-        return None
-    return (n + 1) ** np.arange(points, dtype=np.int64)
+def _reject_rows(log_rows: np.ndarray, alpha: float) -> dict[StatKind, np.ndarray]:
+    """Every statistic's verdict on every row: the kernels and the
+    decision rule of the single-vector tests, applied to all rows."""
+    ville = decide_batch(log_wealth(log_rows, VILLE_DEFAULT_LAMBDA).max(axis=1), alpha)[2]
+    return {**_batch_verdicts(log_rows, alpha), StatKind.VILLE_SEQUENTIAL: ville}
 
 
 def _ville_peaks(codes: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -480,37 +492,31 @@ def _ville_peaks(codes: np.ndarray, support: np.ndarray) -> np.ndarray:
 
 
 def _reject_codes(
-    codes: np.ndarray,
+    block: tuple[np.ndarray, np.ndarray],
     support: np.ndarray,
     alpha: float,
     verdicts: dict[int, tuple[bool, bool]],
 ) -> dict[StatKind, np.ndarray]:
     """Every statistic's verdict on every column of a block of support
-    codes.
+    codes and their outcome classes, as :func:`_sample_codes` draws them.
 
-    ``verdicts`` maps an outcome class's key to its max-average and
-    betting verdicts, and lives for one call of the Monte Carlo loop:
-    a class missing from it is decided on its canonical row and added.
-    It holds at most one entry per class, whatever the number of
-    blocks.  When class keys might overflow an int64, the block is
-    decided row by row instead.
+    ``verdicts`` maps an outcome class to its max-average and betting
+    verdicts, and lives for one call of the Monte Carlo loop: a class
+    missing from it is decided on its canonical row, one member's codes
+    sorted (its support points in ascending order), and added.  It
+    holds at most one entry per class, whatever the number of blocks.
     """
-    n = codes.shape[0]
-    weights = _class_weights(n, len(support))
-    if weights is None:
-        return _reject_rows(np.ascontiguousarray(support[codes].T), alpha)
     # numpy gathers with intp indices: cast once per block, not per gather
-    codes = codes.astype(np.intp)
-    classes, inverse = np.unique(weights[codes].sum(axis=0), return_inverse=True)
-    new = [key for key in classes.tolist() if key not in verdicts]
+    codes, classes = block[0].astype(np.intp), block[1]
+    keys, inverse = np.unique(classes, return_inverse=True)
+    new = [i for i, key in enumerate(keys.tolist()) if key not in verdicts]
     if new:
-        counts = np.array(new)[:, None] // weights % (n + 1)
-        rows = np.repeat(np.tile(support, len(new)), counts.ravel()).reshape(len(new), n)
-        log_max = log_averages_batch(rows)[1].max(axis=1)
-        log_bet = optimize_lambda_batch(rows).log_value
-        decided = (decide_batch(ls, alpha)[2].tolist() for ls in (log_max, log_bet))
-        verdicts.update(zip(new, zip(*decided)))
-    shared = np.array([verdicts[key] for key in classes.tolist()])[inverse]
+        member = np.empty(len(keys), dtype=np.intp)
+        member[inverse] = np.arange(len(classes))
+        rows = np.ascontiguousarray(support[np.sort(codes[:, member[new]], axis=0)].T)
+        decided = (flags.tolist() for flags in _batch_verdicts(rows, alpha).values())
+        verdicts.update(zip(keys[new].tolist(), zip(*decided)))
+    shared = np.array([verdicts[key] for key in keys.tolist()])[inverse]
     return {
         StatKind.MAX_AVERAGE: shared[:, 0],
         StatKind.OPTIMIZED_BETTING: shared[:, 1],
@@ -790,13 +796,6 @@ def _level_rejection_probability(
         sum(math.comb(n, c) * pn**c * qn ** (n - c) for c in range(first, n + 1)),
         pd**n,
     )
-
-
-_ADVERSARIAL_LAW: tuple[tuple[tuple[Fraction, Fraction], Fraction], ...] = (
-    ((Fraction(2), Fraction(1)), Fraction(1, 2)),
-    ((Fraction(0), Fraction(8)), Fraction(1, 16)),
-    ((Fraction(0), Fraction(0)), Fraction(7, 16)),
-)
 
 
 def enumerate_exact(

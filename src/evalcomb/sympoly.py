@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG_INF, LOG_ZERO, EValueVector, LogValue
-from .errors import ConfigError, ValidationError
+from .core import LOG_INF, LOG_ZERO, EValueVector, LogValue, _checked_rows
+from .errors import ConfigError
 
 __all__ = [
     "SymmetricAverages",
@@ -52,9 +52,7 @@ def log_esp_batch(log_rows: np.ndarray) -> np.ndarray:
     (-inf plus +inf) into NaN, and the convention says they are zeros.
     Rows never mix, so a row's result does not depend on the others.
     """
-    log_rows = np.asarray(log_rows, dtype=float)
-    if log_rows.ndim != 2:
-        raise ValidationError("expected a 2-D matrix of log e-values")
+    log_rows = _checked_rows(log_rows)
     rows, n = log_rows.shape
     s = np.full((rows, n + 1), LOG_ZERO)
     s[:, 0] = 0.0

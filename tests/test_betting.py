@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evalcomb.betting import (
-    DEFAULT_LAMBDA_TOL,
+    LAMBDA_TOL,
     BettingOptimum,
     Boundary,
     log_wealth,
@@ -102,9 +102,9 @@ class TestOptimizeLambda:
         assert opt.log_value.is_infinite
 
     def test_tolerance_respected(self):
-        opt = optimize_lambda(validate_evalues([0.0, 8.0]), tol=1e-6)
-        assert opt.achieved_tol <= 1e-6
-        assert abs(opt.lambda_star - 3.0 / 7.0) <= 1e-6 + 1e-12
+        opt = optimize_lambda(validate_evalues([0.0, 8.0]))
+        assert opt.achieved_tol <= LAMBDA_TOL
+        assert abs(opt.lambda_star - 3.0 / 7.0) <= LAMBDA_TOL + 1e-12
 
     @pytest.mark.parametrize("gap", [1e-13, 1e-11, 1e-9])
     def test_root_next_to_one_takes_few_steps(self, gap):
@@ -118,10 +118,6 @@ class TestOptimizeLambda:
         assert abs(opt.lambda_star - exact) <= opt.achieved_tol + 1e-15
         log_value = 2.0 * math.log1p(exact * (1.0 - gap)) + math.log1p(-0.5 * exact)
         assert opt.log_value.log_magnitude == pytest.approx(log_value, rel=1e-12)
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ConfigError):
-            optimize_lambda(validate_evalues([1.0]), tol=0.0)
 
     def test_value_never_below_one(self):
         # sup includes lambda = 0, whose value is exactly 1
@@ -171,8 +167,8 @@ def test_interior_optimum_has_flat_derivative(values):
     if opt.boundary is not Boundary.INTERIOR:
         return
     # the sign must flip inside the final bracket
-    lo = max(0.0, opt.lambda_star - 10 * DEFAULT_LAMBDA_TOL)
-    hi = min(1.0 - 1e-12, opt.lambda_star + 10 * DEFAULT_LAMBDA_TOL)
+    lo = max(0.0, opt.lambda_star - 10 * LAMBDA_TOL)
+    hi = min(1.0 - 1e-12, opt.lambda_star + 10 * LAMBDA_TOL)
     assert score_derivative(ev, lo) >= 0.0 or score_derivative(ev, hi) <= 0.0
 
 

@@ -47,7 +47,8 @@ class TestParseScenario:
 
     @pytest.mark.parametrize("n", ["8", "8.0", "8e0"])
     def test_integral_n_spellings(self, n):
-        """Both families read n by one rule: any integral float."""
+        """Both families read n by one rule: an integer literal or any
+        integral float."""
         assert parse_scenario(f"two_point:p=0.5,hi=2,n={n}").n == 8
         assert parse_scenario(f"factor:default,n={n}").n == 8
 
@@ -73,6 +74,23 @@ class TestParseScenario:
     def test_rejects_malformed_specs(self, spec):
         with pytest.raises(ConfigError):
             parse_scenario(spec)
+
+    @pytest.mark.parametrize("family", ["two_point:p=0.5,hi=2,", "factor:default,"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate", "--alpha", "0.5", "--reps", "10"],
+            ["enumerate", "--threshold", "2", "--stat", "max_average"],
+        ],
+    )
+    def test_refusal_names_the_exact_n(self, capsys, family, command):
+        """An integer n above 2^53 is read exactly, not rounded through
+        a float, so the refusal names the n that was written."""
+        n = "123456789012345678901"
+        code, out, err = run(capsys, [*command, "--scenario", f"{family}n={n}"])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f" {n} " in err or f"^{n} " in err
 
 
 # ----- combine -----

@@ -2,7 +2,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles

@@ -24,7 +24,6 @@ from evalcomb.simlab import (
     MAX_ENUMERATION_OUTCOMES,
     VILLE_DEFAULT_LAMBDA,
     _BLOCK,
-    _class_weights,
     _log_support,
     _reject_codes,
     _reject_rows,
@@ -392,10 +391,11 @@ class TestBatchKernels:
         for n in (1, 2, 3, 4):
             log_rows = _log(np.array(list(itertools.product(grid, repeat=n))))
             codes = np.searchsorted(support, log_rows).T.astype(np.int8)
+            _, classes = np.unique(np.sort(codes, axis=0), axis=1, return_inverse=True)
             for alpha in (0.5, 0.25, 0.125):
                 per_row = _reject_rows(log_rows, alpha)
                 verdicts = {}
-                grouped = _reject_codes(codes, support, alpha, verdicts)
+                grouped = _reject_codes((codes, classes.ravel()), support, alpha, verdicts)
                 assert len(verdicts) == math.comb(n + 5, 5)
                 for i, row in enumerate(log_rows):
                     ev = EValueVector(row)
@@ -427,12 +427,12 @@ def _class_bound(scenario):
     return len(getattr(scenario, "levels", (None,))) * (scenario.n + 1)
 
 
-def _assert_same_verdicts(codes, support, alpha):
-    """Verdicts by outcome class equal per-row verdicts; returns the
-    classes decided."""
+def _assert_same_verdicts(block, support, alpha):
+    """Verdicts by outcome class equal per-row verdicts on a block of
+    (codes, classes); returns the classes decided."""
     verdicts = {}
-    grouped = _reject_codes(codes, support, alpha, verdicts)
-    per_row = _reject_rows(np.ascontiguousarray(support[codes].T), alpha)
+    grouped = _reject_codes(block, support, alpha, verdicts)
+    per_row = _reject_rows(np.ascontiguousarray(support[block[0]].T), alpha)
     for kind in StatKind:
         np.testing.assert_array_equal(grouped[kind], per_row[kind], err_msg=kind.value)
     return verdicts
@@ -454,16 +454,17 @@ class TestOutcomeClasses:
         scenario = parse_scenario(spec)
         support = _log_support(scenario)
         for seed in (1, 2):
-            codes = _sample_codes(scenario, support, replication_stream(seed, 0), _BLOCK)
+            block = _sample_codes(scenario, support, replication_stream(seed, 0), _BLOCK)
             for alpha in (0.5, 0.05):
-                verdicts = _assert_same_verdicts(codes, support, alpha)
+                verdicts = _assert_same_verdicts(block, support, alpha)
                 assert 1 <= len(verdicts) <= _class_bound(scenario)
 
     @pytest.mark.parametrize("spec", CLI_SPECS[:4])
     def test_run_decides_each_class_at_most_once(self, spec, monkeypatch):
         """Across the blocks of one Monte Carlo call, each outcome class
         reaches the kernels at most once, as its canonical row (support
-        points ascending), and the summary equals the per-row run's."""
+        points ascending), and the summary equals per-row verdicts on the
+        same blocks."""
         scenario = parse_scenario(spec)
         grouped = mc_power(scenario, 0.05, 2 * _BLOCK + 7, seed=4)
         seen = {kernel: [] for kernel in ("log_averages_batch", "optimize_lambda_batch")}
@@ -481,21 +482,30 @@ class TestOutcomeClasses:
             assert len(set(rows_seen)) == len(rows_seen)
             assert all(list(row) == sorted(row) for row in rows_seen)
         monkeypatch.undo()
-        monkeypatch.setattr(simlab, "_class_weights", lambda n, points: None)
-        per_row = mc_power(scenario, 0.05, 2 * _BLOCK + 7, seed=4)
-        assert grouped.rejection_rate == per_row.rejection_rate
-        assert grouped.dominance_violations == per_row.dominance_violations
+        replications = 2 * _BLOCK + 7
+        rejected = dict.fromkeys(StatKind, 0)
+        violations = 0
+        for log_rows in _sample_blocks(partial(_sample_rows, scenario), 4, replications):
+            reject = _reject_rows(log_rows, 0.05)
+            for kind in StatKind:
+                rejected[kind] += int(np.count_nonzero(reject[kind]))
+            betting_only = reject[StatKind.OPTIMIZED_BETTING] & ~reject[StatKind.MAX_AVERAGE]
+            violations += int(np.count_nonzero(betting_only))
+        assert grouped.rejection_rate == {
+            kind: count / replications for kind, count in rejected.items()
+        }
+        assert grouped.dominance_violations == violations
 
-    def test_key_overflow_falls_back_to_rows(self):
-        """Class keys are the counts in base n + 1: with n = 2, 39
-        support points fit in an int64 (3^39 < 2^63) and 40 do not; a
-        block whose keys might overflow is decided row by row."""
-        assert _class_weights(2, 39) is not None and _class_weights(2, 40) is None
-        support = np.log(0.25 * np.arange(1, 41))
-        codes = np.random.default_rng(5).integers(0, 40, size=(2, 1000)).astype(np.int8)
-        assert _assert_same_verdicts(codes, support, 1 / 3) == {}
-        below = codes[:, (codes < 39).all(axis=0)]
-        assert len(_assert_same_verdicts(below, support[:39], 1 / 3)) > 100
+    def test_many_support_points_group_into_classes(self):
+        """A 20-level factor law has 40 support points; at n = 2 its rows
+        still group into at most levels * (n + 1) classes, whose verdicts
+        equal the per-row verdicts."""
+        support = _log_support(FORTY_POINTS)
+        assert len(support) == 40
+        block = _sample_codes(FORTY_POINTS, support, replication_stream(5, 0), _BLOCK)
+        for alpha in (0.5, 1 / 3):
+            verdicts = _assert_same_verdicts(block, support, alpha)
+            assert 20 <= len(verdicts) <= _class_bound(FORTY_POINTS)
 
 
 def _where_rows(scenario, rng, rows):
@@ -517,6 +527,9 @@ def _where_rows(scenario, rng, rows):
 
 MANY_LEVELS = FactorScenario(
     tuple(FactorLevel(1 / 70, 0.5, 1.0 + i / 10, 0.5 - i / 200) for i in range(70)), 5
+)
+FORTY_POINTS = FactorScenario(
+    tuple(FactorLevel(1 / 20, 0.5, 1.0 + i / 7, 0.9 - i / 50) for i in range(20)), 2
 )
 EXTREME_SUPPORTS = [
     pytest.param(IidTwoPoint(0.5, 1e308, 0.0, 6), id="two_point:hi=1e308,lo=0"),
@@ -541,7 +554,7 @@ class TestSupportCodes:
         sampler drew from the same stream; the codes are (n, rows)."""
         support = _log_support(scenario)
         for seed, start in itertools.product((0, 13), (0, _BLOCK, 2 * _BLOCK)):
-            codes = _sample_codes(scenario, support, replication_stream(seed, start), _BLOCK)
+            codes, _ = _sample_codes(scenario, support, replication_stream(seed, start), _BLOCK)
             assert codes.shape == (scenario.n, _BLOCK) and codes.flags.c_contiguous
             assert codes.dtype == (np.int16 if scenario is MANY_LEVELS else np.int8)
             rows = _sample_rows(scenario, replication_stream(seed, start), _BLOCK)
@@ -549,12 +562,33 @@ class TestSupportCodes:
             assert rows.flags.c_contiguous
             assert rows.tobytes() == want.tobytes() == support[codes].T.tobytes()
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            *CLI_LAWS,
+            pytest.param(MANY_LEVELS, id="factor:70_levels"),
+            pytest.param(FORTY_POINTS, id="factor:40_points"),
+            *EXTREME_SUPPORTS,
+        ],
+    )
+    def test_class_members_hold_equal_sorted_codes(self, scenario):
+        """All columns of one outcome class have equal sorted codes."""
+        support = _log_support(scenario)
+        for seed in (1, 2):
+            codes, classes = _sample_codes(scenario, support, replication_stream(seed, 0), _BLOCK)
+            assert classes.shape == (_BLOCK,)
+            assert len(np.unique(classes)) <= _class_bound(scenario)
+            ordered = np.sort(codes, axis=0)
+            for key in np.unique(classes):
+                members = ordered[:, classes == key]
+                assert (members == members[:, :1]).all(), key
+
     @pytest.mark.parametrize("scenario", [*CLI_LAWS, *EXTREME_SUPPORTS])
     def test_ville_walk_is_log_wealth(self, scenario):
         """The table-and-column walk gives log_wealth's maxima bit for bit."""
         support = _log_support(scenario)
         for seed in (1, 2):
-            codes = _sample_codes(scenario, support, replication_stream(seed, 0), _BLOCK)
+            codes, _ = _sample_codes(scenario, support, replication_stream(seed, 0), _BLOCK)
             want = log_wealth(support[codes].T, VILLE_DEFAULT_LAMBDA).max(axis=1)
             for index in (codes, codes.astype(np.intp)):
                 assert _ville_peaks(index, support).tobytes() == want.tobytes()

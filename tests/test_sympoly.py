@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evalcomb.betting import log_wealth
-from evalcomb.core import LOG_INF, LOG_ZERO, Regime, validate_evalues
+from evalcomb.core import LOG_INF, LOG_ZERO, validate_evalues
 from evalcomb.errors import ValidationError
 from evalcomb.sympoly import (
     log_binomials,
