@@ -302,18 +302,6 @@ def _report_record(report: TestReport, regime: Regime) -> dict:
     }
 
 
-_TSV_COLUMNS = (
-    "statistic_kind",
-    "log_statistic",
-    "statistic",
-    "alpha",
-    "reject",
-    "p_bound",
-    "regime",
-    "warnings",
-)
-
-
 def _tsv_cell(record: dict, column: str) -> str:
     value = record[column]
     if column == "warnings":
@@ -364,9 +352,10 @@ def _cmd_combine(args: argparse.Namespace) -> int:
         for record in records:
             out.write(json.dumps(record, sort_keys=True) + "\n")
     else:
-        out.write("\t".join(_TSV_COLUMNS) + "\n")
+        columns = list(records[0])
+        out.write("\t".join(columns) + "\n")
         for record in records:
-            out.write("\t".join(_tsv_cell(record, c) for c in _TSV_COLUMNS) + "\n")
+            out.write("\t".join(_tsv_cell(record, c) for c in columns) + "\n")
     return 0
 
 

@@ -151,11 +151,14 @@ def validate_evalues(
 
     Every entry must be a nonnegative number; ``inf`` is allowed, NaN
     and negatives are not, and complex input is refused even with zero
-    imaginary parts, as are integers too large for a float.  The error message names the position
-    (0-based) of the first offending entry.  Numeric ndarrays are read
-    without a copy; other iterables, generators among them, are listed
-    first.
+    imaginary parts, as are integers too large for a float and text (a
+    str or bytes argument or entry).  The error message names the
+    position (0-based) of the first offending entry.  Numeric ndarrays
+    are read without a copy; other iterables, generators among them, are
+    listed first.
     """
+    if isinstance(raw, (str, bytes, bytearray)):
+        raise ValidationError(f"e-values must be a sequence of numbers, got {type(raw).__name__}")
     try:
         if not (isinstance(raw, np.ndarray) and raw.dtype.kind in "biuf"):
             raw = list(raw)
@@ -163,6 +166,8 @@ def validate_evalues(
             if dtype.kind == "c":
                 # a float conversion would drop the imaginary parts
                 raise ValidationError(f"e-values must be real numbers, got {dtype}")
+            if dtype.kind in "USO" and any(isinstance(x, (str, bytes)) for x in raw):
+                raise ValidationError("e-values must be numbers, not strings")
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"e-values must all be numbers: {exc}") from exc

@@ -26,10 +26,12 @@ The sampler also names each row's outcome class: its factor level and
 its count of hi entries (a two-point law has one level), or its
 outcome of the adversarial law; these are the classes the exact
 enumerator sums over.  Both batch statistics are symmetric in the
-entries, so a row's verdict depends only on its class.  Each class is
-decided once per call, on its canonical row (one member's entries in
-ascending order), and the verdict is shared by every row of the class
-in every block.
+entries, so a row's verdict depends only on its class.  A call counts
+the rows of each class and, after the last block, decides each class
+seen once (at most levels * (n + 1) of them) on its canonical row, its
+entries in ascending order.  A batch rate is the class counts times one
+verdict per class: the sampled form of the enumerator's exact sum of
+P(class) * verdict(class).
 The Ville statistic depends on the order of the entries: it is read
 from a table of per-support-point log factors, walking the n columns
 with a running sum and a running maximum.
@@ -40,6 +42,7 @@ from __future__ import annotations
 import bisect
 import math
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -427,7 +430,7 @@ def _drawable_blocks(n: int, replications: int) -> Iterator[None]:
     """Turn blocks of replications of n entries that are too large to
     draw into a ConfigError: before the first draw when a block's n + 1
     draws per row are more elements than numpy can index, and when a
-    block's arrays, sampled or decided, do not fit in memory."""
+    block's arrays or the classes' canonical rows do not fit in memory."""
     rows = min(_BLOCK, replications)
     too_large = f"a block of {rows} replications of n = {n} entries is too large"
     if rows * (n + 1) > np.iinfo(np.intp).max:
@@ -491,37 +494,17 @@ def _ville_peaks(codes: np.ndarray, support: np.ndarray) -> np.ndarray:
     return peak
 
 
-def _reject_codes(
-    block: tuple[np.ndarray, np.ndarray],
-    support: np.ndarray,
-    alpha: float,
-    verdicts: dict[int, tuple[bool, bool]],
-) -> dict[StatKind, np.ndarray]:
-    """Every statistic's verdict on every column of a block of support
-    codes and their outcome classes, as :func:`_sample_codes` draws them.
-
-    ``verdicts`` maps an outcome class to its max-average and betting
-    verdicts, and lives for one call of the Monte Carlo loop: a class
-    missing from it is decided on its canonical row, one member's codes
-    sorted (its support points in ascending order), and added.  It
-    holds at most one entry per class, whatever the number of blocks.
-    """
-    # numpy gathers with intp indices: cast once per block, not per gather
-    codes, classes = block[0].astype(np.intp), block[1]
-    keys, inverse = np.unique(classes, return_inverse=True)
-    new = [i for i, key in enumerate(keys.tolist()) if key not in verdicts]
-    if new:
-        member = np.empty(len(keys), dtype=np.intp)
-        member[inverse] = np.arange(len(classes))
-        rows = np.ascontiguousarray(support[np.sort(codes[:, member[new]], axis=0)].T)
-        decided = (flags.tolist() for flags in _batch_verdicts(rows, alpha).values())
-        verdicts.update(zip(keys[new].tolist(), zip(*decided)))
-    shared = np.array([verdicts[key] for key in keys.tolist()])[inverse]
-    return {
-        StatKind.MAX_AVERAGE: shared[:, 0],
-        StatKind.OPTIMIZED_BETTING: shared[:, 1],
-        StatKind.VILLE_SEQUENTIAL: decide_batch(_ville_peaks(codes, support), alpha)[2],
-    }
+def _class_rows(scenario: Scenario, classes: np.ndarray) -> np.ndarray:
+    """The canonical row of each outcome class, as :func:`_sample_codes`
+    numbers the classes: the class's log support points in ascending
+    order, a (classes, n) matrix.  A two-point or factor class is
+    (level, count of hi entries) = divmod(class, n + 1)."""
+    if isinstance(scenario, AdversarialScenario):
+        return np.sort(_ADVERSARIAL_LOG_OUTCOMES[classes], axis=1)
+    level, count = np.divmod(classes, scenario.n + 1)
+    log_hi, log_lo = _level_log_points(scenario.levels)[level].T
+    is_hi = np.arange(scenario.n) < count[:, None]
+    return np.sort(np.where(is_hi, log_hi[:, None], log_lo[:, None]), axis=1)
 
 
 # --------------------------------------------------------------------
@@ -569,26 +552,37 @@ def _checked_mc_args(replications: int, seed: int) -> tuple[int, int]:
 def _run_batch(
     scenario: Scenario, alpha: float, replications: int, seed: int
 ) -> MonteCarloSummary:
-    """Rejection counts and dominance violations, summed block by block."""
+    """Rejection counts and dominance violations: per row, or per
+    outcome class weighted by its count of rows (see the module docstring)."""
     alpha = _checked_alpha(alpha)
     replications, seed = _checked_mc_args(replications, seed)
     started = time.perf_counter()
     rejected = dict.fromkeys(StatKind, 0)
     violations = 0
+
+    def tally(verdicts: dict[StatKind, np.ndarray], weights: np.ndarray | int) -> None:
+        nonlocal violations
+        for kind, flags in verdicts.items():
+            rejected[kind] += int(np.sum(weights * flags))
+        betting_only = verdicts[StatKind.OPTIMIZED_BETTING] & ~verdicts[StatKind.MAX_AVERAGE]
+        violations += int(np.sum(weights * betting_only))
+
     support = _log_support(scenario)
-    if support is None:
-        sample, decide = partial(_sample_rows, scenario), partial(_reject_rows, alpha=alpha)
-    else:
-        sample = partial(_sample_codes, scenario, support)
-        # verdicts={} is built per call: each class is decided once per call
-        decide = partial(_reject_codes, support=support, alpha=alpha, verdicts={})
     with _drawable_blocks(scenario.n, replications):
-        for block in _sample_blocks(sample, seed, replications):
-            reject = decide(block)
-            for kind, flags in reject.items():
-                rejected[kind] += int(np.count_nonzero(flags))
-            betting_only = reject[StatKind.OPTIMIZED_BETTING] & ~reject[StatKind.MAX_AVERAGE]
-            violations += int(np.count_nonzero(betting_only))
+        if support is None:
+            for log_rows in _sample_blocks(partial(_sample_rows, scenario), seed, replications):
+                tally(_reject_rows(log_rows, alpha), 1)
+        else:
+            class_counts: Counter[int] = Counter()
+            sample = partial(_sample_codes, scenario, support)
+            for codes, classes in _sample_blocks(sample, seed, replications):
+                # numpy gathers with intp indices: cast once per block, not per gather
+                ville = decide_batch(_ville_peaks(codes.astype(np.intp), support), alpha)[2]
+                rejected[StatKind.VILLE_SEQUENTIAL] += int(np.count_nonzero(ville))
+                keys, sizes = np.unique(classes, return_counts=True)
+                class_counts.update(dict(zip(keys.tolist(), sizes.tolist())))
+            seen, counts = (np.array(a) for a in zip(*class_counts.items()))
+            tally(_batch_verdicts(_class_rows(scenario, seen), alpha), counts)
     rates = {kind: count / replications for kind, count in rejected.items()}
     return MonteCarloSummary(
         replications=replications,
@@ -756,7 +750,10 @@ def _decimal_fraction(x: float | int | str | Fraction) -> Fraction:
         if math.isnan(x) or math.isinf(x):
             raise ConfigError(f"enumeration parameter must be finite, got {x}")
         return Fraction(repr(x))
-    return Fraction(str(x))
+    try:
+        return Fraction(str(x))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"enumeration parameter must be a number, got {x!r}") from exc
 
 
 def _reject_exact(
@@ -812,10 +809,10 @@ def enumerate_exact(
     permutation-invariant batch statistics; the sequential statistic
     depends on outcome order and is not offered here.
     """
-    if isinstance(statistic_kind, str):
+    if not isinstance(statistic_kind, StatKind):
         try:
             statistic_kind = StatKind(statistic_kind)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError(f"unknown statistic: {statistic_kind!r}") from exc
     if statistic_kind is StatKind.VILLE_SEQUENTIAL:
         raise ConfigError(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -94,7 +94,10 @@ class TestReport:
 
 
 def _checked_alpha(alpha: float) -> float:
-    alpha = float(alpha)
+    try:
+        alpha = float(alpha)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"alpha must be a number, got {alpha!r}") from exc
     if math.isnan(alpha) or not (0.0 < alpha < 1.0):
         raise ConfigError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     return alpha
@@ -211,17 +214,22 @@ def test_optimized_betting(E: EValueVector, alpha: float) -> TestReport:
 def _resolve_strategy(
     E: EValueVector, strategy: float | Sequence[float]
 ) -> tuple[np.ndarray, bool]:
-    """Return (per-step fractions, is_constant)."""
-    if np.isscalar(strategy) or isinstance(strategy, (int, float)):
-        lam = float(strategy)
-        if math.isnan(lam) or not (0.0 <= lam <= 1.0):
-            raise ValidationError(f"betting fraction must lie in [0, 1], got {lam}")
-        return np.full(E.n, lam), True
-    lams = np.asarray(list(strategy), dtype=float)
-    if lams.ndim != 1 or lams.size != E.n:
+    """Return (per-step fractions, is_constant): a 0-d strategy is one
+    fraction for every step, a 1-D one holds a fraction per step."""
+    if isinstance(strategy, Iterable) and not isinstance(strategy, (str, bytes, np.ndarray)):
+        strategy = list(strategy)  # generators and other one-pass iterables
+    try:
+        lams = np.array(strategy, dtype=float)  # a copy: the report makes it read-only
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"betting fractions must be numbers: {exc}") from exc
+    if lams.ndim == 0:
+        if not 0.0 <= lams <= 1.0:
+            raise ValidationError(f"betting fraction must lie in [0, 1], got {strategy!r}")
+        return np.full(E.n, lams), True
+    if lams.shape != (E.n,):
         raise ValidationError(
             f"betting sequence must have one fraction per e-value "
-            f"({E.n}), got {lams.size}"
+            f"({E.n}), got shape {lams.shape}"
         )
     if np.isnan(lams).any() or (lams < 0).any() or (lams > 1).any():
         bad = np.where(np.isnan(lams) | (lams < 0) | (lams > 1))[0][0]

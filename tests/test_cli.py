@@ -372,6 +372,26 @@ class TestCombine:
         assert first["statistic_kind"] == "max_average"
         assert first["reject"] == "true"
 
+    def test_tsv_output_is_pinned(self, capsys, evfile):
+        """The whole TSV output, header included, byte for byte."""
+        warning = (
+            "the 1/t tail guarantee for this statistic holds for independent "
+            "or simultaneous e-values; this vector's regime is 'unknown'"
+        )
+        code, out, _ = run(
+            capsys,
+            ["combine", "--input", evfile("0\n8\n"), "--alpha", "0.5", "--format", "tsv"],
+        )
+        assert code == 0
+        assert out == (
+            "statistic_kind\tlog_statistic\tstatistic\talpha\treject\tp_bound\tregime"
+            "\twarnings\n"
+            "max_average\t1.3862943611198904\t3.999999999999999\t0.5\ttrue\t0.25000000000000006"
+            f"\tunknown\t{warning}\n"
+            "optimized_betting\t0.8266785731844677\t2.285714285714285\t0.5\ttrue\t0.4375000000000001"
+            f"\tunknown\t{warning}\n"
+        )
+
     def test_json_round_trips(self, capsys, evfile):
         code, out, _ = run(
             capsys, ["combine", "--input", evfile("0\n8\n"), "--alpha", "0.5"]

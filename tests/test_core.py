@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,6 +97,27 @@ class TestValidateEvalues:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="real numbers"):
                 validate_evalues(raw)
+
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            ("123", "got str"),
+            (b"12", "got bytes"),
+            (["2", "inf"], "not strings"),
+            ([1.0, b"8"], "not strings"),
+            ([Fraction(1), "2"], "not strings"),
+            (np.array(["1", "2"]), "not strings"),
+        ],
+        ids=["str", "bytes", "str-entries", "bytes-entry", "object-list", "str-array"],
+    )
+    def test_text_rejected(self, raw, match):
+        # a float conversion would parse the text (or read bytes as ints)
+        with pytest.raises(ValidationError, match=match):
+            validate_evalues(raw)
+
+    def test_numbers_of_every_kind_accepted(self):
+        ev = validate_evalues([True, 2, Fraction(1, 4), 2.5, np.int8(3)])
+        np.testing.assert_allclose(ev.values, [1.0, 2.0, 0.25, 2.5, 3.0], rtol=1e-15)
 
     @pytest.mark.parametrize(
         "values",

@@ -24,8 +24,9 @@ from evalcomb.simlab import (
     MAX_ENUMERATION_OUTCOMES,
     VILLE_DEFAULT_LAMBDA,
     _BLOCK,
+    _batch_verdicts,
+    _class_rows,
     _log_support,
-    _reject_codes,
     _reject_rows,
     _sample_blocks,
     _sample_codes,
@@ -46,6 +47,7 @@ from evalcomb.simlab import (
 from evalcomb.sympoly import log_averages_batch, symmetric_averages
 from evalcomb.testkit import (
     StatKind,
+    decide_batch,
     test_max_average,
     test_optimized_betting,
     test_ville,
@@ -291,8 +293,9 @@ class TestBlockSampler:
         assert peak(16) <= 1.25 * peak(2)
 
     def test_class_memo_does_not_grow_with_replications(self):
-        """A many-class law: the per-call verdicts hold at most one entry
-        per outcome class, so the peak stays flat from 2 to 16 blocks."""
+        """A many-class law: the per-call class counts hold at most one
+        entry per outcome class, so the peak stays flat from 2 to 16
+        blocks."""
         scenario = parse_scenario("factor:default,n=200")
 
         def peak(blocks):
@@ -378,7 +381,8 @@ class TestBatchKernels:
         exactly on the threshold (max average of (8, 0) is 4, both
         statistics of (2, 2, 2, 0.5) are 4), the Monte Carlo verdict is
         the report's verdict, per row and as its outcome class's verdict
-        on the canonical row, with the grid as the support."""
+        on the canonical row (its entries sorted); the Ville verdict comes
+        from the column walk, with the grid as the support."""
         grid = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
         support = _log(np.array(grid))
         runners = {
@@ -391,12 +395,17 @@ class TestBatchKernels:
         for n in (1, 2, 3, 4):
             log_rows = _log(np.array(list(itertools.product(grid, repeat=n))))
             codes = np.searchsorted(support, log_rows).T.astype(np.int8)
-            _, classes = np.unique(np.sort(codes, axis=0), axis=1, return_inverse=True)
+            ordered, classes = np.unique(np.sort(codes, axis=0), axis=1, return_inverse=True)
+            canonical = np.ascontiguousarray(support[ordered].T)
+            assert len(canonical) == math.comb(n + 5, 5)
             for alpha in (0.5, 0.25, 0.125):
                 per_row = _reject_rows(log_rows, alpha)
-                verdicts = {}
-                grouped = _reject_codes((codes, classes.ravel()), support, alpha, verdicts)
-                assert len(verdicts) == math.comb(n + 5, 5)
+                grouped = {
+                    kind: flags[classes.ravel()]
+                    for kind, flags in _batch_verdicts(canonical, alpha).items()
+                }
+                peaks = _ville_peaks(codes.astype(np.intp), support)
+                grouped[StatKind.VILLE_SEQUENTIAL] = decide_batch(peaks, alpha)[2]
                 for i, row in enumerate(log_rows):
                     ev = EValueVector(row)
                     for kind, runner in runners.items():
@@ -427,15 +436,22 @@ def _class_bound(scenario):
     return len(getattr(scenario, "levels", (None,))) * (scenario.n + 1)
 
 
-def _assert_same_verdicts(block, support, alpha):
-    """Verdicts by outcome class equal per-row verdicts on a block of
-    (codes, classes); returns the classes decided."""
-    verdicts = {}
-    grouped = _reject_codes(block, support, alpha, verdicts)
-    per_row = _reject_rows(np.ascontiguousarray(support[block[0]].T), alpha)
+def _assert_same_verdicts(scenario, block, alpha):
+    """On a block of (codes, classes), the batch verdicts of each class's
+    canonical row and the Ville verdicts of the column walk equal the
+    per-row verdicts; returns the classes decided."""
+    support = _log_support(scenario)
+    codes, classes = block
+    seen, inverse = np.unique(classes, return_inverse=True)
+    grouped = {
+        kind: flags[inverse]
+        for kind, flags in _batch_verdicts(_class_rows(scenario, seen), alpha).items()
+    }
+    grouped[StatKind.VILLE_SEQUENTIAL] = decide_batch(_ville_peaks(codes, support), alpha)[2]
+    per_row = _reject_rows(np.ascontiguousarray(support[codes].T), alpha)
     for kind in StatKind:
         np.testing.assert_array_equal(grouped[kind], per_row[kind], err_msg=kind.value)
-    return verdicts
+    return seen
 
 
 class TestOutcomeClasses:
@@ -456,28 +472,30 @@ class TestOutcomeClasses:
         for seed in (1, 2):
             block = _sample_codes(scenario, support, replication_stream(seed, 0), _BLOCK)
             for alpha in (0.5, 0.05):
-                verdicts = _assert_same_verdicts(block, support, alpha)
-                assert 1 <= len(verdicts) <= _class_bound(scenario)
+                seen = _assert_same_verdicts(scenario, block, alpha)
+                assert 1 <= len(seen) <= _class_bound(scenario)
 
     @pytest.mark.parametrize("spec", CLI_SPECS[:4])
     def test_run_decides_each_class_at_most_once(self, spec, monkeypatch):
-        """Across the blocks of one Monte Carlo call, each outcome class
-        reaches the kernels at most once, as its canonical row (support
-        points ascending), and the summary equals per-row verdicts on the
-        same blocks."""
+        """Across the blocks of one Monte Carlo call, each kernel is
+        called once, and each outcome class reaches it at most once, as
+        its canonical row (support points ascending); the summary equals
+        per-row verdicts on the same blocks."""
         scenario = parse_scenario(spec)
         grouped = mc_power(scenario, 0.05, 2 * _BLOCK + 7, seed=4)
-        seen = {kernel: [] for kernel in ("log_averages_batch", "optimize_lambda_batch")}
-        for kernel, rows_seen in seen.items():
+        calls = {kernel: [] for kernel in ("log_averages_batch", "optimize_lambda_batch")}
+        for kernel, batches in calls.items():
             real = getattr(simlab, kernel)
 
-            def spy(log_rows, real=real, rows_seen=rows_seen):
-                rows_seen.extend(map(tuple, log_rows))
+            def spy(log_rows, real=real, batches=batches):
+                batches.append(list(map(tuple, log_rows)))
                 return real(log_rows)
 
             monkeypatch.setattr(simlab, kernel, spy)
         mc_power(scenario, 0.05, 2 * _BLOCK + 7, seed=4)
-        for rows_seen in seen.values():
+        for batches in calls.values():
+            assert len(batches) == 1
+            [rows_seen] = batches
             assert 1 <= len(rows_seen) <= _class_bound(scenario)
             assert len(set(rows_seen)) == len(rows_seen)
             assert all(list(row) == sorted(row) for row in rows_seen)
@@ -504,8 +522,8 @@ class TestOutcomeClasses:
         assert len(support) == 40
         block = _sample_codes(FORTY_POINTS, support, replication_stream(5, 0), _BLOCK)
         for alpha in (0.5, 1 / 3):
-            verdicts = _assert_same_verdicts(block, support, alpha)
-            assert 20 <= len(verdicts) <= _class_bound(FORTY_POINTS)
+            seen = _assert_same_verdicts(FORTY_POINTS, block, alpha)
+            assert 20 <= len(seen) <= _class_bound(FORTY_POINTS)
 
 
 def _where_rows(scenario, rng, rows):
@@ -582,6 +600,27 @@ class TestSupportCodes:
             for key in np.unique(classes):
                 members = ordered[:, classes == key]
                 assert (members == members[:, :1]).all(), key
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            *CLI_LAWS,
+            pytest.param(MANY_LEVELS, id="factor:70_levels"),
+            pytest.param(FORTY_POINTS, id="factor:40_points"),
+            *EXTREME_SUPPORTS,
+        ],
+    )
+    def test_class_rows_are_sorted_member_codes(self, scenario):
+        """A class's canonical row, built from the class number alone, is
+        bit for bit every member's sorted codes read through the support."""
+        support = _log_support(scenario)
+        for seed in (1, 2):
+            codes, classes = _sample_codes(scenario, support, replication_stream(seed, 0), _BLOCK)
+            seen, inverse = np.unique(classes, return_inverse=True)
+            rows = _class_rows(scenario, seen)
+            assert rows.shape == (len(seen), scenario.n)
+            want = support[np.sort(codes, axis=0)].T
+            assert rows[inverse].tobytes() == np.ascontiguousarray(want).tobytes()
 
     @pytest.mark.parametrize("scenario", [*CLI_LAWS, *EXTREME_SUPPORTS])
     def test_ville_walk_is_log_wealth(self, scenario):
@@ -790,6 +829,21 @@ class TestEnumerateExact:
     def test_unknown_statistic_string(self):
         with pytest.raises(ConfigError):
             enumerate_exact(AdversarialScenario(), 2, "bogus")
+
+    @pytest.mark.parametrize("kind", [None, 2, 3, 1.5, []], ids=repr)
+    def test_statistic_that_is_not_a_kind(self, kind):
+        """Only a StatKind or its value names a statistic; anything else
+        is refused rather than read as optimized_betting."""
+        with pytest.raises(ConfigError, match="unknown statistic"):
+            enumerate_exact(AdversarialScenario(), 2, kind)
+
+    @pytest.mark.parametrize("threshold", ["abc", "1/0", None], ids=repr)
+    def test_non_numeric_threshold(self, threshold):
+        with pytest.raises(ConfigError, match="must be a number"):
+            enumerate_exact(AdversarialScenario(), threshold, StatKind.MAX_AVERAGE)
+
+    def test_threshold_string_is_exact(self):
+        assert enumerate_exact(AdversarialScenario(), "2", "max_average") == Fraction(9, 16)
 
     @pytest.mark.parametrize(
         "kind", [StatKind.MAX_AVERAGE, StatKind.OPTIMIZED_BETTING], ids=lambda k: k.value

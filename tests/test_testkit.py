@@ -101,7 +101,7 @@ class TestRegimeWarnings:
 
 
 class TestAlphaValidation:
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.7, float("nan")])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.7, float("nan"), "x", None])
     def test_bad_alpha(self, alpha):
         for runner in (test_max_average, test_optimized_betting):
             with pytest.raises(ConfigError):
@@ -159,6 +159,29 @@ class TestVille:
     def test_strategy_length_mismatch(self):
         with pytest.raises(ValidationError):
             test_ville(_ev([1.0, 2.0]), [0.5], 0.1)
+
+    def test_zero_dimensional_strategy_is_constant(self):
+        report = test_ville(_ev([2.0, 1.0]), np.array(0.5), 0.45)
+        np.testing.assert_array_equal(report.detail.strategy, [0.5, 0.5])
+        assert report.detail.attested is None
+
+    def test_strategy_is_copied(self):
+        strategy = np.array([0.25, 0.5])
+        test_ville(_ev([2.0, 1.0]), strategy, 0.45, attested=True)
+        assert strategy.flags.writeable
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [None, "abc", [0.5, "abc"], 10**400],
+        ids=["None", "text", "text-entry", "int-beyond-float"],
+    )
+    def test_non_numeric_strategy(self, strategy):
+        with pytest.raises(ValidationError):
+            test_ville(_ev([1.0, 2.0]), strategy, 0.1)
+
+    def test_strategy_that_is_not_1d_names_its_shape(self):
+        with pytest.raises(ValidationError, match=r"shape \(1, 3\)"):
+            test_ville(_ev([1.0, 2.0, 3.0]), [[0.5, 0.5, 0.5]], 0.1)
 
     def test_strategy_out_of_range(self):
         with pytest.raises(ValidationError):
