@@ -175,7 +175,9 @@ def validate_evalues(
         raise ValidationError(
             f"e-values must be real numbers within the float range: {exc}"
         ) from exc
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.ndim != 1:
+        raise ValidationError(f"e-values must be a 1-D sequence, got shape {arr.shape}")
+    if arr.size == 0:
         raise ValidationError("at least one e-value is required")
     bad_nan = np.isnan(arr)
     if bad_nan.any():

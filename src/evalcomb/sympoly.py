@@ -8,22 +8,38 @@ t with probability at most 1/t.  It also dominates the whole family of
 constant-fraction betting products, which is what makes it the stronger
 of the two batch combination rules offered by this package.
 
-Everything here runs in log domain, row-wise over a (rows, n) matrix
-of log e-values; the single-vector functions are the rows = 1 case.
-The O(n^2) one-pass recursion
+The sums are computed row-wise over a (rows, n) matrix of log e-values
+by the kernel in :mod:`evalcomb._esp`; the single-vector functions are
+the rows = 1 case.  The kernel works in linear domain, where each cell
+is a multiply-add on float mantissas.  The entries are cut into base
+blocks of at most 64, whose sums come from the one-pass recursion
 
-    s_j <- s_j + E_m * s_{j-1}    (m = 1..n, j descending implicit)
+    s_j <- s_j + E_m * s_(j-1)    (m = 1..b, j descending implicit)
 
-is the only way the sums are computed.
+run on all blocks at once.  Groups of 8 blocks are then folded, level
+by level, each block applied to its group's running sums as a
+convolution.  A block whose entries could push its sums out of the
+float range is first scaled by a power of two.  Every sum after that is
+carried as a mantissa and a binary exponent per (row, column), and each
+term of a convolution is aligned to the largest term of its column with
+``ldexp``, so no sum overflows or underflows; ``frexp`` and ``ldexp``
+scale by powers of two and are exact.  A row with an ``inf`` or a
+subnormal entry, or whose entries lie too far apart within one base
+block, runs the log-domain recursion with a log-sum-exp per cell
+instead.  Both paths keep 0 * inf = 0: the linear-domain kernel never
+sees an ``inf``, and the fallback turns the NaN of each such product
+into a zero.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG_INF, LOG_ZERO, EValueVector, LogValue, _checked_rows
+from . import _esp
+from .core import EValueVector, LogValue, _checked_rows
 from .errors import ConfigError
 
 __all__ = [
@@ -46,35 +62,11 @@ def log_esp_batch(log_rows: np.ndarray) -> np.ndarray:
     """log S_0 .. log S_n for each row of a (rows, n) matrix of log
     e-values.
 
-    Runs the quadratic one-entry-at-a-time recursion entirely with
-    log-sum-exp updates, so it neither overflows nor underflows.  The
-    NaN patch applies the 0 * inf == 0 rule: IEEE turns those products
-    (-inf plus +inf) into NaN, and the convention says they are zeros.
+    Rows whose entries pass the range test run the blocked linear-domain
+    kernel and the others the log-domain recursion (module docstring).
     Rows never mix, so a row's result does not depend on the others.
     """
-    log_rows = _checked_rows(log_rows)
-    rows, n = log_rows.shape
-    s = np.full((rows, n + 1), LOG_ZERO)
-    s[:, 0] = 0.0
-    buf = np.empty((rows, n))
-    lo, hi = s[:, :n], s[:, 1:]
-    entries = log_rows.T[:, :, None]
-    if rows == 1:
-        # The same arithmetic on 1-D views and Python-float entries,
-        # where numpy's per-call overhead is lowest.
-        lo, hi, buf, entries = lo[0], hi[0], buf[0], log_rows[0].tolist()
-    patch_products = bool((log_rows == LOG_INF).any())
-    with np.errstate(invalid="ignore"):
-        for m in range(n):
-            # Full-width update: positions past the current prefix hold
-            # log 0, so adding the new entry and folding in leaves them
-            # untouched.  Fixed-size operations keep the per-step numpy
-            # overhead constant.
-            np.add(lo, entries[m], out=buf)
-            if patch_products:
-                buf[np.isnan(buf)] = LOG_ZERO
-            np.logaddexp(hi, buf, out=hi)
-    return s
+    return _esp.log_esp_rows(_checked_rows(log_rows))
 
 
 def log_binomials(n: int) -> np.ndarray:
@@ -95,10 +87,17 @@ def log_binomials(n: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _shared_log_binomials(n: int) -> np.ndarray:
+    out = log_binomials(n)
+    out.flags.writeable = False
+    return out
+
+
 def log_averages_batch(log_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise log S_k and log A_k = log S_k - log C(n, k), k = 0..n."""
     log_S = log_esp_batch(log_rows)
-    return log_S, log_S - log_binomials(log_S.shape[1] - 1)
+    return log_S, log_S - _shared_log_binomials(log_S.shape[1] - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,4 +138,3 @@ def symmetric_averages(E: EValueVector) -> SymmetricAverages:
         log_S=log_S,
         log_A=log_A,
     )
-

@@ -94,6 +94,8 @@ class TestReport:
 
 
 def _checked_alpha(alpha: float) -> float:
+    if isinstance(alpha, (str, bytes, bytearray)):
+        raise ConfigError(f"alpha must be a number, not text: {alpha!r}")
     try:
         alpha = float(alpha)
     except (TypeError, ValueError) as exc:

@@ -66,8 +66,15 @@ class TestValidateEvalues:
             validate_evalues([1.0, float("nan")])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="at least one e-value is required"):
             validate_evalues([])
+
+    @pytest.mark.parametrize("raw", [[[1.0, 2.0]], np.ones((2, 3)), [[]]], ids=repr)
+    def test_non_vector_rejected_with_its_shape(self, raw):
+        rows, cols = np.shape(raw)
+        message = rf"1-D sequence, got shape \({rows}, {cols}\)"
+        with pytest.raises(ValidationError, match=message):
+            validate_evalues(raw)
 
     @pytest.mark.parametrize(
         "raw",

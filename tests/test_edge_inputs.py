@@ -37,7 +37,35 @@ EDGE_VECTORS = [
 ]
 
 
-@pytest.mark.parametrize("values", EDGE_VECTORS, ids=str)
+def _long(*head, fill=1.5, n=150):
+    """A vector longer than two base blocks of the linear-domain kernel,
+    with the given entries at its start and ``fill`` elsewhere."""
+    return list(head) + [fill] * (n - len(head))
+
+
+# Longer than the kernel's blocks: magnitudes that force base-block
+# scaling or the log-domain fallback, next to ordinary entries.
+EDGE_VECTORS += [
+    _long(1e300, 1e-300),
+    _long(1e300, 1e300, 1e300, fill=1e-300),
+    _long(fill=1e300),
+    _long(fill=1e-300),
+    _long(5e-324, 1e-310, 2.0),
+    _long(fill=1e-310),
+    _long(0.0, math.inf, 0.5),
+    _long(0.0, math.inf, fill=0.0),
+    _long(1e308, 1e308, 0.0),
+    _long(fill=1.0, n=600),
+]
+
+
+def _vector_id(values):
+    if len(values) <= 8:
+        return str(values)
+    return f"{values[:3]}+{len(values) - 3}x{values[-1]}"
+
+
+@pytest.mark.parametrize("values", EDGE_VECTORS, ids=_vector_id)
 def test_public_statistics_are_warning_clean(values):
     ev = validate_evalues(values)
     steps = np.resize([0.0, 1.0, 0.5], ev.n)
@@ -59,7 +87,7 @@ def test_public_statistics_are_warning_clean(values):
             test_ville(ev, steps, alpha)
 
 
-@pytest.mark.parametrize("values", EDGE_VECTORS, ids=str)
+@pytest.mark.parametrize("values", EDGE_VECTORS, ids=_vector_id)
 def test_identity_residuals_vanish_or_refuse(values):
     """The kernel's sums and averages satisfy the telescoping identity on
     every edge vector whose sums fit in linear scale, where the check

@@ -191,6 +191,13 @@ class TestIntegerArguments:
         with pytest.raises(ConfigError):
             replication_stream(0, value)
 
+    @pytest.mark.parametrize("alpha", ["0.5", b"0.5", bytearray(b"0.1")], ids=repr)
+    def test_text_alpha_refused(self, alpha):
+        with pytest.raises(ConfigError, match="not text"):
+            mc_type1(NULL_TP, alpha, replications=10, seed=1)
+        with pytest.raises(ConfigError, match="not text"):
+            mc_power(NULL_TP, alpha, replications=10, seed=1)
+
 
 class TestGenerators:
     def test_iid_two_point_support_and_regime(self):

@@ -101,7 +101,9 @@ class TestRegimeWarnings:
 
 
 class TestAlphaValidation:
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.7, float("nan"), "x", None])
+    @pytest.mark.parametrize(
+        "alpha", [0.0, 1.0, -0.2, 1.7, float("nan"), "x", None, "0.5", b"0.5"]
+    )
     def test_bad_alpha(self, alpha):
         for runner in (test_max_average, test_optimized_betting):
             with pytest.raises(ConfigError):
