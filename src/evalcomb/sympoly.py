@@ -69,12 +69,14 @@ def log_esp_batch(log_rows: np.ndarray) -> np.ndarray:
     return _esp.log_esp_rows(_checked_rows(log_rows))
 
 
+@functools.lru_cache(maxsize=16)
 def log_binomials(n: int) -> np.ndarray:
     """log C(n, k) for k = 0..n as cumulative sums of log ratios.
 
     The lower half is accumulated and mirrored onto the upper half, so
     log C(n, 0) and log C(n, n) are exactly zero and the array is
-    exactly symmetric.
+    exactly symmetric.  The array is read-only and cached for the last
+    16 sizes: every call of :func:`log_averages_batch` subtracts it.
     """
     if n < 0:
         raise ConfigError("n must be nonnegative")
@@ -84,12 +86,6 @@ def log_binomials(n: int) -> np.ndarray:
         j = np.arange(1, half + 1, dtype=float)
         np.cumsum(np.log((n + 1 - j) / j), out=out[1 : half + 1])
     out[n - half :] = out[half::-1]
-    return out
-
-
-@functools.lru_cache(maxsize=16)
-def _shared_log_binomials(n: int) -> np.ndarray:
-    out = log_binomials(n)
     out.flags.writeable = False
     return out
 
@@ -97,7 +93,7 @@ def _shared_log_binomials(n: int) -> np.ndarray:
 def log_averages_batch(log_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise log S_k and log A_k = log S_k - log C(n, k), k = 0..n."""
     log_S = log_esp_batch(log_rows)
-    return log_S, log_S - _shared_log_binomials(log_S.shape[1] - 1)
+    return log_S, log_S - log_binomials(log_S.shape[1] - 1)
 
 
 @dataclass(frozen=True, eq=False)

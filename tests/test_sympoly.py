@@ -14,6 +14,7 @@ from evalcomb.betting import log_wealth
 from evalcomb.core import LOG_INF, LOG_ZERO, validate_evalues
 from evalcomb.errors import ValidationError
 from evalcomb.sympoly import (
+    log_averages_batch,
     log_binomials,
     log_esp,
     log_esp_batch,
@@ -90,6 +91,8 @@ def test_log_binomials_match_comb():
         # the ends carry no rounding at all
         assert log_binomials(n)[0] == 0.0
         assert log_binomials(n)[-1] == 0.0
+        # cached, so no caller may change it for the others
+        assert not log_binomials(n).flags.writeable
 
 
 def test_infinite_entry_propagates():
@@ -288,6 +291,14 @@ def test_range_test_edges():
 def test_batch_esp_rejects_one_dimensional_input():
     with pytest.raises(ValidationError):
         log_esp_batch(np.zeros(4))
+
+
+@pytest.mark.parametrize("n", [0, 10, 100, 600])
+def test_empty_batch_has_no_rows(n):
+    """Sizes with no fold, one fold and two folds."""
+    log_S, log_A = log_averages_batch(np.empty((0, n)))
+    assert log_S.shape == log_A.shape == (0, n + 1)
+    assert log_esp_batch(np.empty((0, n))).shape == (0, n + 1)
 
 
 # ----- mixture -----
