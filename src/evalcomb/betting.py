@@ -10,10 +10,10 @@ vector), so its maximum is where the decreasing derivative
 changes sign.  The boundary cases are decided in closed form first: the
 derivative at 0 is sum(E_i - 1), so a sample mean <= 1 pins the maximum
 at lam = 0 (value 1), and the sign of sum(1 - 1/E_i) decides whether it
-sits at lam = 1.  Interior maxima are found by safeguarded Newton
-steps: the second derivative is minus the sum of the squared terms,
-and a step that leaves the sign bracket or converges too slowly is
-replaced by bisection.
+sits at lam = 1.  Interior maxima are found by safeguarded Halley steps
+seeded from the derivative's moments at lam = 0: the terms of the
+derivative give its first and second derivatives too, and a step that
+leaves the sign bracket or converges too slowly is replaced by bisection.
 
 Each statistic here is one row-wise kernel over a (rows, n) matrix of
 log e-values; the single-vector functions are its rows = 1 case.
@@ -125,87 +125,86 @@ def log_wealth(log_rows: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     return wealth
 
 
-def _inverse_excess(log_rows: np.ndarray) -> np.ndarray:
-    """1 / (E - 1) entrywise: inf for E = 1, 0 for E too large for a float."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return 1.0 / np.expm1(log_rows)
+_CODE_LAMBDA = np.array([0.0, 0.5, 1.0])
+_BOUNDARIES = np.array([Boundary.AT_ZERO, Boundary.INTERIOR, Boundary.AT_ONE], dtype=object)
 
 
-def _slope_terms(inverse_excess: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
-    """The derivative's terms (E - 1) / ((1 - lam) + lam E), written as
-    1 / (1/(E - 1) + lam).
+def _interior_roots(excess: np.ndarray) -> np.ndarray:
+    """Root of the derivative for each row whose maximum is interior,
+    given the rows' excesses E - 1.
 
-    That form needs no special cases: an entry of 1 contributes 0, and
-    an entry whose linear value saturates to inf contributes its limit
-    1/lam.  Minus the squared terms are the second derivative's terms.
-    Callers silence the divide-by-zero of lam = 0 against such an entry.
-    """
-    return 1.0 / (inverse_excess + lam)
+    The derivative is f = sum(t), with terms t = (E - 1) / ((1 - lam) +
+    lam E) written as 1 / (1/(E - 1) + lam): an entry of 1 contributes 0,
+    and one whose linear value saturates to inf contributes its limit
+    1/lam.  The same terms give f' = -sum(t^2) and f'' = 2 sum(t^3).
+    Each step is a Halley step on g = (1 + b lam) f, b = min(E) - 1 in
+    [-1, 0): g has f's sign on [0, 1) without the pole of the smallest
+    entry's term, the pole nearest to 1 (a zero entry's term becomes the
+    constant -1), so g is close to the Moebius functions on which a
+    Halley step is exact.  At lam = 0 the terms are the excesses, so the
+    first point is the Halley step from 0, taken without an evaluation.
 
-
-def _interior_roots(log_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Root of the derivative for each row whose maximum is interior.
-
-    Every row keeps a bracket [lo, hi] with a positive derivative at lo
-    and a non-positive one at hi, starting from [0, 1].  With tol =
-    LAMBDA_TOL, the next point is the Newton step carried tol/2 past the
+    Every row keeps a bracket [lo, hi] with a non-negative derivative at
+    lo and a negative one at hi, starting from [0, 1].  With tol =
+    LAMBDA_TOL, the next point is the Halley step carried tol/2 past the
     predicted root, so that the bracket closes from both sides.
-    Bisection replaces the step when it would leave the bracket or is
-    longer than the step before last, which stops slow one-sided crawls.
-    No Newton target lies past 1 - tol/2, because lam = 1 is never
-    evaluated: a step that would reach it tries 1 - tol/2 instead, which
-    settles a root within tol/2 of 1 at once, where bisection took about
-    thirty more steps, and costs any other row at most one evaluation.
-    A row is done once its bracket is at most 2 tol wide (or after
-    _MAX_STEPS derivative evaluations); its root is the bracket's
-    midpoint and achieved_tol the bracket's half-width.
+    Bisection replaces the step when it would leave the bracket, is NaN
+    (a term overflowed) or is longer than the step before last, which
+    stops slow one-sided crawls.  No target lies past 1 - tol/2, because
+    lam = 1 is never evaluated: a step that would reach it tries
+    1 - tol/2 instead, which settles a root within tol/2 of 1 at once
+    and costs any other row at most one evaluation.  A row is done once
+    its bracket is at most 2 tol wide (or after _MAX_STEPS derivative
+    evaluations); its root is the bracket's midpoint and achieved_tol
+    the bracket's half-width.
 
-    Returns (lambda, derivative evaluations, achieved_tol) per row.
+    Returns the rows lambda, derivative evaluations and achieved_tol;
+    callers silence numpy's divide, overflow and invalid warnings.
     """
-    inverse_excess = _inverse_excess(log_rows)
-    k = log_rows.shape[0]
-    out_lam, out_tol = np.empty(k), np.empty(k)
-    out_steps = np.empty(k, dtype=int)
-    active = np.arange(k)
-    lo, hi, x = np.zeros(k), np.ones(k), np.zeros(k)
-    step, prev_step = np.ones(k), np.ones(k)
-    tol = LAMBDA_TOL
-    nudge = 0.5 * tol
-    # Infinite terms (lam = 0 against a saturated entry) and the NaN
-    # steps they make only ever send a row to bisection.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for evaluation in range(1, _MAX_STEPS + 1):
-            terms = _slope_terms(inverse_excess, x[:, None])
-            slope = terms.sum(axis=1)
-            curvature = np.einsum("ij,ij->i", terms, terms)
-            rising = slope > 0.0
-            lo = np.where(rising, x, lo)
-            hi = np.where(rising, hi, x)
+    k, n = excess.shape
+    out = np.empty((3, k))
+    inverse_excess = 1.0 / excess
+    bottom = excess.min(axis=1)
+    rows = np.arange(k, dtype=float)
+    lo, x = np.zeros((2, k))
+    hi, step, prev_step = np.ones((3, k))
+    # 1, t and t^2: their dot products with t are f, -f' and f''/2
+    stack = np.ones((3, k, n))
+    stack[1] = excess
+    tol, nudge = LAMBDA_TOL, 0.5 * LAMBDA_TOL
+    for evaluation in range(_MAX_STEPS + 1):
+        np.multiply(stack[1], stack[1], out=stack[2])
+        moments = np.vecdot(stack, stack[1])
+        if evaluation:
+            rising = moments[0] >= 0.0
+            np.copyto(lo, x, where=rising)
+            np.copyto(hi, x, where=~rising)
             done = hi - lo <= 2.0 * tol
             if evaluation == _MAX_STEPS:
                 done[:] = True
-            if done.any():
-                rows = active[done]
-                out_lam[rows] = 0.5 * (lo[done] + hi[done])
-                out_tol[rows] = 0.5 * (hi[done] - lo[done])
-                out_steps[rows] = evaluation
-                keep = ~done
-                if not keep.any():
+            if np.count_nonzero(done):
+                finished = rows[done].astype(int)
+                out[0, finished] = 0.5 * (lo[done] + hi[done])
+                out[1, finished] = evaluation
+                out[2, finished] = 0.5 * (hi[done] - lo[done])
+                if done.all():
                     break
-                active, inverse_excess = active[keep], inverse_excess[keep]
-                lo, hi, x, slope, curvature, rising, step, prev_step = (
-                    v[keep]
-                    for v in (lo, hi, x, slope, curvature, rising, step, prev_step)
-                )
-            newton = slope / curvature
-            target = np.minimum(x + (newton + np.copysign(nudge, newton)), 1.0 - nudge)
-            use_newton = (
-                (lo < target) & (target < hi) & (np.abs(newton) <= prev_step)
-            )
-            following = np.where(use_newton, target, 0.5 * (lo + hi))
-            prev_step, step = step, np.abs(following - x)
-            x = following
-    return out_lam, out_steps, out_tol
+                state = np.vstack((lo, hi, x, step, prev_step, rows, bottom, moments))[:, ~done]
+                lo, hi, x, step, prev_step, rows, bottom = state[:7]
+                moments, inverse_excess = state[7:], inverse_excess[~done]
+                stack = stack[:, : rows.size]
+        # g, -g' and g''/2 from f, f' and f''
+        weighted = moments * (1.0 + bottom * x)
+        slope, bend = weighted[1:] - bottom * moments[:2]
+        newton = weighted[0] / slope
+        halley = newton / (1.0 - newton * (bend / slope))
+        target = np.minimum(x + (halley + np.copysign(nudge, halley)), 1.0 - nudge)
+        inside = (lo < target) & (target < hi) & (np.abs(halley) <= prev_step)
+        following = np.where(inside, target, 0.5 * (lo + hi))
+        prev_step, step = step, np.abs(following - x)
+        x = following
+        np.divide(1.0, inverse_excess + x[:, None], out=stack[1])
+    return out
 
 
 def optimize_lambda_batch(log_rows: np.ndarray) -> BettingOptima:
@@ -216,37 +215,38 @@ def optimize_lambda_batch(log_rows: np.ndarray) -> BettingOptima:
     gives an infinite product) instead of searched.  Boundary maxima are
     resolved exactly.  A zero entry makes the slope at one -inf, so
     such a row is never put at lam = 1, where its product vanishes.
-    Interior maxima come from safeguarded Newton steps on the
-    derivative, whose sign change they bracket to within
-    ``achieved_tol``.  The value of a row at one or inside is its final
-    wealth at the returned lam, and at least 0 (the value of lam = 0).
+    Interior maxima come from safeguarded Halley steps on the
+    derivative, seeded from its moments at lam = 0, which bracket its
+    sign change to within ``achieved_tol``.  A row's value is its final
+    wealth at the returned lam, at least 0 (the value of lam = 0): at
+    lam = 1 its log e-values summed in log_wealth's order, inside the
+    sum of log1p(lam (E - 1)), each rounded relative to its own size.
     """
     log_rows = _checked_rows(log_rows)
-    rows = log_rows.shape[0]
-    infinite = (log_rows == LOG_INF).any(axis=1)
-    with np.errstate(over="ignore"):
-        slope_at_zero = np.expm1(log_rows).sum(axis=1)
-        slope_at_one = -np.expm1(-log_rows).sum(axis=1)
-    undecided = ~infinite & (slope_at_zero > 0.0)
-    at_one = undecided & (slope_at_one >= 0.0)
-    interior = undecided & ~at_one
-
-    lam = np.zeros(rows)
-    boundary = np.full(rows, Boundary.AT_ZERO, dtype=object)
-    iterations = np.zeros(rows, dtype=int)
-    achieved_tol = np.zeros(rows)
-    log_value = np.where(infinite, LOG_INF, 0.0)
-    lam[infinite] = 0.5
-    boundary[infinite | interior] = Boundary.INTERIOR
-    lam[at_one] = 1.0
-    boundary[at_one] = Boundary.AT_ONE
-    if interior.any():
-        roots = _interior_roots(log_rows[interior])
-        lam[interior], iterations[interior], achieved_tol[interior] = roots
-    if undecided.any():
-        final = log_wealth(log_rows[undecided], lam[undecided, None])[:, -1]
-        log_value[undecided] = np.maximum(final, 0.0)
-    return BettingOptima(lam, log_value, boundary, iterations, achieved_tol, infinite)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        excess = np.expm1(log_rows)
+        infinite = (log_rows == LOG_INF).any(axis=1)
+        undecided = ~infinite & (excess.sum(axis=1) > 0.0)
+        at_one = undecided & (np.expm1(-log_rows).sum(axis=1) <= 0.0)
+        interior = undecided & ~at_one
+        code = np.add(undecided | infinite, at_one, dtype=int)
+        lam = _CODE_LAMBDA[code]
+        iterations, achieved_tol = np.zeros(code.size, dtype=int), np.zeros(code.size)
+        log_value = np.where(infinite, LOG_INF, 0.0)
+        if np.count_nonzero(at_one):
+            # log_wealth's factors at lam = 1 are the log e-values themselves
+            log_value[at_one] = np.maximum(np.cumsum(log_rows[at_one], axis=1)[:, -1], 0.0)
+        if np.count_nonzero(interior):
+            roots = _interior_roots(excess[interior])
+            lam[interior], iterations[interior], achieved_tol[interior] = roots
+            chosen = roots[:1].T
+            factors = np.log1p(chosen * excess[interior])
+            # E - 1 past the float range: the factor is log(lam E) + ~(1 - lam) / (lam E)
+            saturated = factors == LOG_INF
+            if np.count_nonzero(saturated):
+                factors[saturated] = (np.log(chosen) + log_rows[interior])[saturated]
+            log_value[interior] = np.maximum(np.cumsum(factors, axis=1)[:, -1], 0.0)
+    return BettingOptima(lam, log_value, _BOUNDARIES[code], iterations, achieved_tol, infinite)
 
 
 def optimize_lambda(E: EValueVector) -> BettingOptimum:

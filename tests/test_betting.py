@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from evalcomb.betting import (
     Boundary,
     log_wealth,
     optimize_lambda,
+    optimize_lambda_batch,
 )
-from evalcomb.core import LOG_INF, LOG_ZERO, validate_evalues
+from evalcomb.core import LOG_INF, LOG_ZERO, EValueVector, validate_evalues
 from evalcomb.errors import ConfigError
 from evalcomb.sympoly import symmetric_averages
 from oracles import score_derivative
@@ -119,6 +121,15 @@ class TestOptimizeLambda:
         log_value = 2.0 * math.log1p(exact * (1.0 - gap)) + math.log1p(-0.5 * exact)
         assert opt.log_value.log_magnitude == pytest.approx(log_value, rel=1e-12)
 
+    def test_zero_eight_value_is_close_to_log_16_7(self):
+        """The value of (0, 8) is log(16/7); it must be no farther from it
+        than 0.8266785731844677, which is 2.42e-16 off."""
+        value = optimize_lambda(validate_evalues([0.0, 8.0])).log_value.log_magnitude
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = (Decimal(16) / Decimal(7)).ln()
+            assert abs(Decimal(value) - exact) <= abs(Decimal(0.8266785731844677) - exact)
+
     def test_value_never_below_one(self):
         # sup includes lambda = 0, whose value is exactly 1
         rng = np.random.default_rng(21)
@@ -177,3 +188,89 @@ def test_optimum_is_frozen_record():
     assert isinstance(opt, BettingOptimum)
     with pytest.raises(AttributeError):
         opt.lambda_star = 0.0
+
+
+def _regular_pool(seed, rows):
+    """Rows like the regular batches of the combine-small benchmark: n
+    log-uniform in [2, 64]; lognormal null and alternative rows, and
+    two-point rows whose low point is 0."""
+    rng = np.random.default_rng(seed)
+    pool = []
+    for _ in range(rows):
+        n = int(round(math.exp(rng.uniform(math.log(2), math.log(64)))))
+        kind = rng.choice(3, p=(0.2, 0.4, 0.4))
+        if kind == 2:
+            p, mean = rng.choice([0.25, 0.5]), rng.choice([1.5, 2.0])
+            pool.append(np.where(rng.random(n) < p, mean / p, 0.0))
+        else:
+            sigma = rng.uniform(0.3, 2.0)
+            shift = 0.0 if kind == 0 else rng.uniform(0.05, 0.6)
+            pool.append(np.exp(sigma * rng.standard_normal(n) - 0.5 * sigma * sigma + shift))
+    return pool
+
+
+def test_interior_optima_take_few_evaluations():
+    """Halley steps seeded from lam = 0 need at most 5 derivative
+    evaluations per interior row on average and 12 on any row."""
+    steps = []
+    for values in _regular_pool(12, 600):
+        opt = optimize_lambda(validate_evalues(values))
+        assert opt.achieved_tol <= LAMBDA_TOL
+        if opt.boundary is Boundary.INTERIOR:
+            steps.append(opt.iterations)
+    assert len(steps) > 200
+    assert np.mean(steps) <= 5.0
+    assert max(steps) <= 12
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(0.0, 4.1e284, 9e282, 0.0), (0.0, 1e300, 1e300, 0.0), (1e-300, 1e300, 1e-300, 1e300)],
+)
+def test_exact_root_at_one_half_closes_at_once(values):
+    """The first Halley step from 0 overflows and bisection lands on the
+    root 1/2 itself, where the derivative is exactly 0: the search must
+    close the bracket from there instead of bisecting towards it."""
+    opt = optimize_lambda(validate_evalues(values))
+    assert opt.boundary is Boundary.INTERIOR
+    assert opt.iterations <= 5
+    assert abs(opt.lambda_star - 0.5) <= opt.achieved_tol <= LAMBDA_TOL
+
+
+# Rows of 1e+-300, subnormals, 0 next to huge entries and exact roots at
+# 1/2, padded with ones (which leave the derivative unchanged), and each
+# row's lambda* as the bracket-and-Newton search found it.
+EXTREME_ROWS = [
+    ((0.0, 4.1e284, 9e282, 0.0, 1.0, 1.0), 0.5000000000125),
+    ((1e-300, 1e300, 1e-300, 1e300, 1.0, 1.0), 0.5000000000125),
+    ((0.0, 1e300, 1e300, 0.0, 1.0, 1.0), 0.5000000000125),
+    ((1 / 3, 3.0, 1.0, 1.0, 1.0, 1.0), 0.4999999999999995),
+    ((0.25, 4.0, 0.25, 4.0, 1.0, 1.0), 0.4999999999992367),
+    ((1e300, 1e-300, 0.5, 1.0, 1.0, 1.0), 0.4226497308103742),
+    ((1e-300, 1e-300, 1e300, 1.0, 1.0, 1.0), 0.33333333333329973),
+    ((0.0, 1e308, 0.0, 1.0, 1.0, 1.0), 0.33333333333329973),
+    ((5e-324, 3.0, 1e-310, 1.0, 1.0, 1.0), 2.5000037007434156e-11),
+    ((2.5e-310, 1e290, 0.3, 4.0, 1.0, 1.0), 0.5116121505923027),
+    ((0.0, 0.0, 0.0, 1e200, 1e-200, 7.0), 0.29017283318680287),
+    ((5e-324, 5e-324, 1e300, 2.0, 0.5, 1e-300), 0.2605205185310171),
+    ((0.0, 1e-310, 8.0, 1e300, 0.1, 1.0), 0.37720634033199796),
+]
+
+
+def test_extreme_rows_keep_their_optima():
+    """On a mixed batch of extreme rows, lambda* stays within LAMBDA_TOL
+    of the recorded optimum, and each row's batch result is its
+    single-row result bit for bit."""
+    with np.errstate(divide="ignore"):
+        log_rows = np.log(np.array([row for row, _ in EXTREME_ROWS]))
+    batch = optimize_lambda_batch(log_rows)
+    for i, (row, recorded) in enumerate(EXTREME_ROWS):
+        assert batch.boundary[i] is Boundary.INTERIOR
+        assert abs(batch.lambda_star[i] - recorded) <= LAMBDA_TOL
+        assert batch.achieved_tol[i] <= LAMBDA_TOL
+        assert batch.iterations[i] <= 12
+        single = optimize_lambda(EValueVector(log_rows[i]))
+        assert single.lambda_star == batch.lambda_star[i]
+        assert single.log_value.log_magnitude == batch.log_value[i]
+        assert single.iterations == batch.iterations[i]
+        assert single.achieved_tol == batch.achieved_tol[i]

@@ -388,7 +388,7 @@ class TestCombine:
             "\twarnings\n"
             "max_average\t1.3862943611198904\t3.999999999999999\t0.5\ttrue\t0.25000000000000006"
             f"\tunknown\t{warning}\n"
-            "optimized_betting\t0.8266785731844677\t2.285714285714285\t0.5\ttrue\t0.4375000000000001"
+            "optimized_betting\t0.8266785731844678\t2.2857142857142856\t0.5\ttrue\t0.43750000000000006"
             f"\tunknown\t{warning}\n"
         )
 
