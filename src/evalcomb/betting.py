@@ -1,8 +1,9 @@
 """Constant-fraction betting products and their exact maximization.
 
 Betting a fixed fraction lam of current wealth on each e-value yields
-the product M_n(lam) = prod_i ((1 - lam) + lam E_i).  As a function of
-lam on [0, 1] its logarithm is concave (strictly, away from the all-ones
+the product M_n(lam) = prod_i ((1 - lam) + lam E_i), whose log factors
+log1p(lam (E_i - 1)) have one implementation.  As a function of lam on
+[0, 1] its logarithm is concave (strictly, away from the all-ones
 vector), so its maximum is where the decreasing derivative
 
     d/dlam log M_n(lam) = sum_i (E_i - 1) / ((1 - lam) + lam E_i)
@@ -88,17 +89,21 @@ class BettingOptima:
 
 
 def _log_factors(log_values: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
-    """log((1 - lam) + lam E) entrywise, for lam in [0, 1].
+    """The betting factor log((1 - lam) + lam E) = log1p(lam (E - 1)),
+    entrywise for lam in [0, 1] broadcast against log E.
 
-    Each factor is logaddexp(log(1 - lam), log(lam) + log E), which is
-    exact at both betting extremes: lam = 0 gives exactly 1, also
-    against an infinite e-value (0 * inf == 0), and lam = 1 gives
-    exactly the e-value.  Callers silence numpy's divide, invalid and
-    overflow warnings.
+    The ends are exact: lam = 0 gives 0, also against E = inf (0 * inf
+    == 0), and lam = 1 gives log E.  Where E - 1 overflows, the factor
+    is log(lam) + log E, within (1 - lam) / (lam E).  Callers silence
+    numpy's divide, invalid and overflow warnings.
     """
-    factors = np.logaddexp(np.log1p(-lam), np.log(lam) + log_values)
-    # NaN arises only where lam = 0 meets an infinite e-value: a factor of 1
-    factors[np.isnan(factors)] = 0.0
+    factors = np.log1p(lam * np.expm1(log_values))
+    saturated = factors == LOG_INF
+    if np.count_nonzero(saturated):
+        factors = np.where(saturated, np.log(lam) + log_values, factors)
+    if np.size(lam) > 1 or not 0.0 < lam < 1.0:
+        np.copyto(factors, 0.0, where=lam == 0.0)
+        np.copyto(factors, log_values, where=lam == 1.0)
     return factors
 
 
@@ -108,9 +113,9 @@ def log_wealth(log_rows: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     Entry (r, i) is log prod_{j <= i} ((1 - lam) + lam E_rj).  ``lam``
     broadcasts against the (rows, n) matrix: a scalar, an (n,) vector of
     per-step fractions, or a (rows, 1) column of per-row fractions, all
-    in [0, 1].  The factors are those of :func:`_log_factors`.  A zero
-    factor ruins the bettor for good: the wealth stays zero from then
-    on, even if an infinite factor follows.
+    in [0, 1].  Each factor is log1p(lam (E - 1)) from :func:`_log_factors`.
+    A zero factor ruins the bettor for good: the wealth stays zero from
+    then on, even if an infinite factor follows.
     """
     log_rows = _checked_rows(log_rows)
     lam = np.asarray(lam, dtype=float)
@@ -217,10 +222,9 @@ def optimize_lambda_batch(log_rows: np.ndarray) -> BettingOptima:
     such a row is never put at lam = 1, where its product vanishes.
     Interior maxima come from safeguarded Halley steps on the
     derivative, seeded from its moments at lam = 0, which bracket its
-    sign change to within ``achieved_tol``.  A row's value is its final
-    wealth at the returned lam, at least 0 (the value of lam = 0): at
-    lam = 1 its log e-values summed in log_wealth's order, inside the
-    sum of log1p(lam (E - 1)), each rounded relative to its own size.
+    sign change to within ``achieved_tol``.  A row's value is the final
+    column of :func:`log_wealth` at the returned lam, the sum of the
+    factors log1p(lam (E - 1)), and at least 0 (the value of lam = 0).
     """
     log_rows = _checked_rows(log_rows)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -233,19 +237,12 @@ def optimize_lambda_batch(log_rows: np.ndarray) -> BettingOptima:
         lam = _CODE_LAMBDA[code]
         iterations, achieved_tol = np.zeros(code.size, dtype=int), np.zeros(code.size)
         log_value = np.where(infinite, LOG_INF, 0.0)
-        if np.count_nonzero(at_one):
-            # log_wealth's factors at lam = 1 are the log e-values themselves
-            log_value[at_one] = np.maximum(np.cumsum(log_rows[at_one], axis=1)[:, -1], 0.0)
         if np.count_nonzero(interior):
             roots = _interior_roots(excess[interior])
             lam[interior], iterations[interior], achieved_tol[interior] = roots
-            chosen = roots[:1].T
-            factors = np.log1p(chosen * excess[interior])
-            # E - 1 past the float range: the factor is log(lam E) + ~(1 - lam) / (lam E)
-            saturated = factors == LOG_INF
-            if np.count_nonzero(saturated):
-                factors[saturated] = (np.log(chosen) + log_rows[interior])[saturated]
-            log_value[interior] = np.maximum(np.cumsum(factors, axis=1)[:, -1], 0.0)
+        if np.count_nonzero(undecided):
+            factors = _log_factors(log_rows[undecided], lam[undecided][:, None])
+            log_value[undecided] = np.maximum(np.cumsum(factors, axis=1)[:, -1], 0.0)
     return BettingOptima(lam, log_value, _BOUNDARIES[code], iterations, achieved_tol, infinite)
 
 

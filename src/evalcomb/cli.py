@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .core import EValueVector, Regime
+from .core import Regime, validate_evalues
 from .errors import ConfigError, EvalcombError, ValidationError
 from .simlab import (
     AdversarialScenario,
@@ -315,8 +315,7 @@ def _cmd_combine(args: argparse.Namespace) -> int:
     kinds = _parse_stats(args.stat)
     regime = Regime(args.regime)
     raw = _read_number_file(args.input, "e-value", header="e_value", nonnegative=True)
-    with np.errstate(divide="ignore"):
-        evector = EValueVector(np.log(raw), regime)
+    evector = validate_evalues(raw, regime)
 
     strategy: float | np.ndarray | None = None
     if StatKind.VILLE_SEQUENTIAL in kinds:

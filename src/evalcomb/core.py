@@ -41,6 +41,8 @@ def _checked_rows(log_rows: np.ndarray) -> np.ndarray:
     log_rows = np.asarray(log_rows, dtype=float)
     if log_rows.ndim != 2:
         raise ValidationError("expected a 2-D matrix of log e-values")
+    if math.isnan(log_rows.min(initial=0.0)):  # min propagates NaN
+        raise ValidationError("NaN is not a valid log e-value")
     return log_rows
 
 

@@ -477,12 +477,12 @@ def _ville_peaks(codes: np.ndarray, support: np.ndarray) -> np.ndarray:
     equal bit for bit to the row maxima of
     ``log_wealth(support[codes].T, VILLE_DEFAULT_LAMBDA)``.
 
-    The factors come from a table with one entry per support point, and
-    the walk over the n columns keeps a running sum and a running
-    maximum, which makes log_wealth's additions in log_wealth's order.
-    Finite support points give no +inf factor, so a -inf factor (ruin)
-    absorbs every later sum without a NaN, as log_wealth's ruin rule
-    does.
+    A table holds log_wealth's factor log1p(lam (E - 1)) for each
+    support point, and the walk over the n columns keeps a running sum
+    and a running maximum, which makes log_wealth's additions in its
+    order.  Finite support points give no +inf factor, so a -inf factor
+    (ruin) absorbs every later sum without a NaN, as log_wealth's ruin
+    rule does.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         table = _log_factors(support, VILLE_DEFAULT_LAMBDA)

@@ -216,18 +216,18 @@ def test_optimized_betting(E: EValueVector, alpha: float) -> TestReport:
 def _resolve_strategy(
     E: EValueVector, strategy: float | Sequence[float]
 ) -> tuple[np.ndarray, bool]:
-    """Return (per-step fractions, is_constant): a 0-d strategy is one
-    fraction for every step, a 1-D one holds a fraction per step."""
+    """Return (fractions, is_constant): a 0-d array of one fraction for
+    every step, or a 1-D array of a fraction per step."""
     if isinstance(strategy, Iterable) and not isinstance(strategy, (str, bytes, np.ndarray)):
         strategy = list(strategy)  # generators and other one-pass iterables
     try:
-        lams = np.array(strategy, dtype=float)  # a copy: the report makes it read-only
+        lams = np.asarray(strategy, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"betting fractions must be numbers: {exc}") from exc
     if lams.ndim == 0:
         if not 0.0 <= lams <= 1.0:
             raise ValidationError(f"betting fraction must lie in [0, 1], got {strategy!r}")
-        return np.full(E.n, lams), True
+        return lams, True
     if lams.shape != (E.n,):
         raise ValidationError(
             f"betting sequence must have one fraction per e-value "
@@ -274,6 +274,7 @@ def test_ville(
             "attested by the caller",
         )
     trajectory.flags.writeable = False
+    lams = np.full(E.n, lams)
     lams.flags.writeable = False
     detail = VilleDetail(
         log_trajectory=trajectory,

@@ -44,6 +44,62 @@ def test_product_zero_entry_kills_all_in_product_at_one():
     assert _final_wealth([0.0, math.inf], 1.0) == LOG_ZERO
 
 
+def _relative_factor_errors(log_e, lam):
+    """Relative error of log_wealth's one-step factors against ln(1 - lam
+    + lam E) at 40 digits, and each factor's sensitivity kappa to a
+    relative change in lam (E - 1), which is 1 as lam (E - 1) -> 0."""
+    got = log_wealth(log_e[:, None], lam)[:, 0]
+    errors, kappas = [], []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        d_lam = Decimal(lam)
+        for x, g in zip(log_e, got):
+            excess = d_lam * (Decimal(x).exp() - 1)
+            exact = (1 + excess).ln()
+            errors.append(float(abs((Decimal(g) - exact) / exact)))
+            kappas.append(float(abs(excess / ((1 + excess) * exact))))
+    return np.array(errors), np.array(kappas)
+
+
+@pytest.mark.parametrize(
+    "draw, lam",
+    [
+        (lambda rng: np.log1p(rng.uniform(-1e-6, 1e-6, 300)), 0.5),
+        (lambda rng: rng.normal(-0.5, 1.0, 300), 1e-6),
+        (lambda rng: rng.normal(-0.5, 1.0, 300), 0.999),
+    ],
+    ids=["near_one", "small_bet", "large_bet"],
+)
+def test_factors_are_accurate(draw, lam):
+    """Each factor log1p(lam (E - 1)) is within two ulps of the exact log,
+    times kappa: 1 + lam (E - 1) cancels as lam -> 1 and E -> 0."""
+    errors, kappas = _relative_factor_errors(draw(np.random.default_rng(17)), lam)
+    assert (errors <= 4.5e-16 * np.maximum(kappas, 1.0)).all()
+
+
+def test_per_step_fractions_zero_and_one_are_exact():
+    """A step betting everything multiplies the wealth by E exactly, one
+    betting nothing by 1, also against E = inf (0 * inf == 0)."""
+    log_e = np.log([3.0, 0.7, 2.5, math.inf, 0.25, 1e-3])
+    lam = np.array([1.0, 1.0, 0.5, 0.0, 0.0, 1.0])
+    wealth = log_wealth(log_e[None], lam)[0]
+    assert wealth[0] == log_e[0]
+    for i in (1, 5):
+        assert wealth[i] == wealth[i - 1] + log_e[i]
+    assert wealth[3] == wealth[4] == wealth[2]
+    assert math.copysign(1.0, log_wealth(log_e[None, 4:], 0.0)[0, 0]) == 1.0
+
+
+def test_saturated_excess_keeps_the_optimum():
+    """E = e^800 overflows E - 1, so its factor is log(lam) + log E: next
+    to a zero the optimum is lam = 1/2, worth E / 4."""
+    log_rows = np.array([[800.0, LOG_ZERO]])
+    best = optimize_lambda_batch(log_rows)
+    assert abs(best.lambda_star[0] - 0.5) <= LAMBDA_TOL
+    assert best.log_value[0] == pytest.approx(800.0 - 2.0 * math.log(2.0), rel=1e-15)
+    assert best.log_value[0] == log_wealth(log_rows, best.lambda_star[:, None])[0, -1]
+
+
 def test_product_rejects_bad_lambda():
     for lam in (-0.01, 1.01, float("nan")):
         with pytest.raises(ConfigError):

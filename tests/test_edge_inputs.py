@@ -14,7 +14,7 @@ import pytest
 from evalcomb.betting import log_wealth, optimize_lambda, optimize_lambda_batch
 from evalcomb.core import validate_evalues
 from evalcomb.errors import ValidationError
-from evalcomb.sympoly import log_averages_batch, log_esp, symmetric_averages
+from evalcomb.sympoly import log_averages_batch, log_esp, log_esp_batch, symmetric_averages
 from evalcomb.testkit import test_max_average, test_optimized_betting, test_ville
 from oracles import identity_residuals
 
@@ -101,3 +101,15 @@ def test_identity_residuals_vanish_or_refuse(values):
         else:
             with pytest.raises(ValidationError):
                 identity_residuals(ev)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [log_esp_batch, log_averages_batch, optimize_lambda_batch, lambda rows: log_wealth(rows, 0.5)],
+    ids=["log_esp_batch", "log_averages_batch", "optimize_lambda_batch", "log_wealth"],
+)
+def test_batch_kernels_refuse_nan(kernel):
+    """NaN is no e-value: a row-wise kernel refuses it instead of reading
+    it as some number."""
+    with pytest.raises(ValidationError, match="NaN"):
+        kernel(np.array([[1.0, 0.0], [math.nan, 0.0]]))
