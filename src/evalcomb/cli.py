@@ -394,12 +394,7 @@ def _format_fraction(value: Fraction) -> str:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    scenario = parse_scenario(args.scenario)
-    try:
-        threshold = Fraction(args.threshold)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad --threshold {args.threshold!r}: {exc}") from exc
-    probability = enumerate_exact(scenario, threshold, args.stat)
+    probability = enumerate_exact(parse_scenario(args.scenario), args.threshold, args.stat)
     sys.stdout.write(_format_fraction(probability) + "\n")
     return 0
 

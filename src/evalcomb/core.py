@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 
 __all__ = [
     "LOG_ZERO",
@@ -44,6 +44,20 @@ def _checked_rows(log_rows: np.ndarray) -> np.ndarray:
     if math.isnan(log_rows.min(initial=0.0)):  # min propagates NaN
         raise ValidationError("NaN is not a valid log e-value")
     return log_rows
+
+
+def _checked_number(name: str, value: object) -> float:
+    """value as a float: text, non-numbers, ints beyond the float range and
+    NaN are a ConfigError rather than a raw TypeError or OverflowError."""
+    if isinstance(value, (str, bytes, bytearray)):
+        raise ConfigError(f"{name} must be a number, not text: {value!r}")
+    try:
+        number = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be a number in the float range: {exc}") from exc
+    if math.isnan(number):
+        raise ConfigError(f"{name} must be a number, got NaN")
+    return number
 
 
 @dataclass(frozen=True)

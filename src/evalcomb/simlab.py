@@ -19,16 +19,18 @@ do not depend on how blocks are ordered or distributed, a sample of R
 replications is a prefix of any larger one, and memory stays
 O(``_BLOCK`` * n) whatever the number of replications.
 
-On a law with finite support (every scenario but the lognormal one)
-a block is drawn as support codes: an (n, rows) matrix of small-integer
-indices into the law's sorted log support points, one column per row.
-The sampler also names each row's outcome class: its factor level and
-its count of hi entries (a two-point law has one level), or its
-outcome of the adversarial law; these are the classes the exact
-enumerator sums over.  Both batch statistics are symmetric in the
-entries, so a row's verdict depends only on its class.  A call counts
-the rows of each class and, after the last block, decides each class
-seen once (at most levels * (n + 1) of them) on its canonical row, its
+A law with finite support (any scenario but the lognormal one) is a
+tuple of levels, each with a probability, support points lo and hi, and
+a law of a row's count of hi entries: binomial for the two-point and
+factor laws, and exactly 1 for the adversarial law, whose outcome
+(E_1, E_2) is the level lo = E_1, hi = E_2 with hi in second position.
+Such a law's outcome classes are level * (n + 1) + count, for the
+sampler, the canonical rows and the exact enumerator alike.  A block is
+drawn as support codes, an (n, rows) matrix of small-integer indices
+into the sorted log support points, with each row's class.  Both batch
+statistics are symmetric in the entries, so a row's verdict depends
+only on its class.  A call counts the rows of each class and, after the
+last block, decides each class seen once on its canonical row, its
 entries in ascending order.  A batch rate is the class counts times one
 verdict per class: the sampled form of the enumerator's exact sum of
 P(class) * verdict(class).
@@ -42,7 +44,6 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +54,7 @@ import numpy as np
 
 from ._ratpoly import max_average_reaches, poly_max_reaches
 from .betting import _log_factors, log_wealth, optimize_lambda_batch
-from .core import LOG_ZERO, EValueVector, Regime
+from .core import EValueVector, Regime, _checked_number
 from .errors import ConfigError
 from .sympoly import log_averages_batch
 from .testkit import StatKind, _checked_alpha, decide_batch
@@ -110,15 +111,15 @@ def _checked_int(name: str, value: float, minimum: int) -> int:
 
 
 def _check_prob(name: str, value: float) -> float:
-    value = float(value)
-    if math.isnan(value) or not (0.0 <= value <= 1.0):
+    value = _checked_number(name, value)
+    if not (0.0 <= value <= 1.0):
         raise ConfigError(f"{name} must be a probability in [0, 1], got {value}")
     return value
 
 
 def _check_support_point(name: str, value: float) -> float:
-    value = float(value)
-    if math.isnan(value) or value < 0.0 or math.isinf(value):
+    value = _checked_number(name, value)
+    if value < 0.0 or math.isinf(value):
         raise ConfigError(f"{name} must be a finite nonnegative value, got {value}")
     return value
 
@@ -176,20 +177,21 @@ def two_point_scenario(
     lo = _check_support_point("lo", lo)
     if hi is None and mean is None:
         raise ConfigError("two_point needs either hi or mean")
+    hi = None if hi is None else _check_support_point("hi", hi)
     if mean is not None:
         if p == 0.0:
             raise ConfigError("cannot derive hi from mean when p = 0")
-        derived = (float(mean) - (1.0 - p) * lo) / p
+        derived = (_checked_number("mean", mean) - (1.0 - p) * lo) / p
         if derived < 0.0 or math.isnan(derived):
             raise ConfigError(
                 f"mean {mean} is not reachable with p={p}, lo={lo}"
             )
-        if hi is not None and abs(derived - float(hi)) > 1e-12 * max(1.0, abs(derived)):
+        if hi is not None and abs(derived - hi) > 1e-12 * max(1.0, abs(derived)):
             raise ConfigError(
                 f"hi={hi} and mean={mean} disagree (mean implies hi={derived})"
             )
         hi = derived
-    return IidTwoPoint(p=p, hi=float(hi), lo=lo, n=n)
+    return IidTwoPoint(p=p, hi=hi, lo=lo, n=n)
 
 
 @dataclass(frozen=True)
@@ -203,19 +205,13 @@ class IidLognormal:
     sigma: float
     n: int
     regime: ClassVar[Regime] = Regime.INDEPENDENT
+    mean: ClassVar[float] = 1.0
+    is_null: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
-        if math.isnan(self.sigma) or not (self.sigma > 0.0) or math.isinf(self.sigma):
+        if not (0.0 < _checked_number("sigma", self.sigma) < math.inf):
             raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
         object.__setattr__(self, "n", _checked_int("n", self.n, 1))
-
-    @property
-    def mean(self) -> float:
-        return 1.0
-
-    @property
-    def is_null(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -237,6 +233,11 @@ class FactorLevel:
     @property
     def conditional_mean(self) -> float:
         return self.p * self.hi + (1.0 - self.p) * self.lo
+
+    def _count_law(self, n: int) -> tuple[list[int], int]:
+        """Binomial: P(c hi entries among n) = weights[c] / denominator."""
+        pn, pd = _decimal_fraction(self.p).as_integer_ratio()
+        return [math.comb(n, c) * pn**c * (pd - pn) ** (n - c) for c in range(n + 1)], pd**n
 
 
 @dataclass(frozen=True)
@@ -300,18 +301,30 @@ class AdversarialScenario:
     """
 
     regime: ClassVar[Regime] = Regime.SEQUENTIAL
+    n: ClassVar[int] = 2
+    mean: ClassVar[float] = 1.0
+    is_null: ClassVar[bool] = True
 
-    @property
-    def n(self) -> int:
-        return 2
 
-    @property
-    def mean(self) -> float:
-        return 1.0
+@dataclass(frozen=True)
+class _OutcomeLevel:
+    """An outcome (E_1, E_2) = (lo, hi) of the adversarial law as a level:
+    its row holds one hi entry, second, so its count is 1 for sure."""
 
-    @property
-    def is_null(self) -> bool:
-        return True
+    prob: Fraction
+    lo: int
+    hi: int
+
+    def _count_law(self, n: int) -> tuple[list[int], int]:
+        return [int(count == 1) for count in range(n + 1)], 1
+
+
+# in the order _sample_codes picks them: E_1 = 2; else E_2 = 8; else (0, 0)
+_ADVERSARIAL_LEVELS = (
+    _OutcomeLevel(Fraction(1, 2), lo=2, hi=1),
+    _OutcomeLevel(Fraction(1, 16), lo=0, hi=8),
+    _OutcomeLevel(Fraction(7, 16), lo=0, hi=0),
+)
 
 
 Scenario = Union[IidTwoPoint, IidLognormal, FactorScenario, AdversarialScenario]
@@ -334,31 +347,26 @@ def replication_stream(seed: int, replication: int) -> np.random.Generator:
     return np.random.default_rng([seed, replication])
 
 
-_ADVERSARIAL_LAW: tuple[tuple[tuple[Fraction, Fraction], Fraction], ...] = (
-    ((Fraction(2), Fraction(1)), Fraction(1, 2)),
-    ((Fraction(0), Fraction(8)), Fraction(1, 16)),
-    ((Fraction(0), Fraction(0)), Fraction(7, 16)),
-)
-
-_ADVERSARIAL_LOG_OUTCOMES = np.array(
-    [[math.log(e) if e else LOG_ZERO for e in values] for values, _ in _ADVERSARIAL_LAW]
-)
+def _levels(scenario: Scenario) -> tuple[FactorLevel | _OutcomeLevel, ...] | None:
+    """A finite law's levels (see the module docstring); None for lognormal."""
+    if isinstance(scenario, AdversarialScenario):
+        return _ADVERSARIAL_LEVELS
+    if isinstance(scenario, (IidTwoPoint, FactorScenario)):
+        return scenario.levels
+    return None
 
 
-def _level_log_points(levels: Sequence[FactorLevel]) -> np.ndarray:
-    """Each level's (log hi, log lo), a (levels, 2) matrix."""
+def _level_log_points(levels: Sequence[FactorLevel | _OutcomeLevel]) -> np.ndarray:
+    """Each level's (log hi, log lo), a (levels, 2) float matrix."""
     with np.errstate(divide="ignore"):
-        return np.log([[level.hi, level.lo] for level in levels])
+        return np.log(np.array([[level.hi, level.lo] for level in levels], dtype=float))
 
 
 def _log_support(scenario: Scenario) -> np.ndarray | None:
     """The sorted distinct log values a scenario's entries can take, or
     None for a law without finite support."""
-    if isinstance(scenario, (IidTwoPoint, FactorScenario)):
-        return np.unique(_level_log_points(scenario.levels))
-    if isinstance(scenario, AdversarialScenario):
-        return np.unique(_ADVERSARIAL_LOG_OUTCOMES)
-    return None
+    levels = _levels(scenario)
+    return None if levels is None else np.unique(_level_log_points(levels))
 
 
 def _sample_codes(
@@ -369,29 +377,28 @@ def _sample_codes(
 
     The codes are an (n, rows) matrix whose column r holds row r's
     entries as indices into ``support``, the law's :func:`_log_support`.
-    The classes are one integer per row: level * (n + 1) + the count of
-    hi entries for a two-point or factor row, the outcome's index in
-    ``_ADVERSARIAL_LAW`` for an adversarial row.  Rows of one class hold
-    the same support points, each as often, in some order.
-
-    Draws are taken row-major: n + 1 uniforms per two-point or factor
-    row (the level first) and 2 uniforms per adversarial row.  The first
-    R rows of a larger draw from the same stream are therefore the R
-    rows of a smaller one.  Codes have the smallest signed integer type
-    that holds every index and every difference of two indices.
+    A row draws a level and a hit mask, True at the level's hi entries;
+    its class is level * (n + 1) + its count of hits.  Draws are taken
+    row-major: n + 1 uniforms per two-point or factor row (the level,
+    then one hit per entry), 2 per adversarial row, which pick its
+    outcome level; its one hit is fixed, second.  The first R rows of a
+    larger draw from the same stream are therefore the R rows of a
+    smaller one.  Codes have the smallest signed integer type that holds
+    every index and every difference of two indices.
     """
+    levels = _levels(scenario)
     code_type = np.min_scalar_type(-len(support))
+    hi_code, lo_code = np.searchsorted(support, _level_log_points(levels)).T.astype(code_type)
     if isinstance(scenario, AdversarialScenario):
         u = rng.random((rows, 2))
-        outcome = np.where(u[:, 0] < 0.5, 0, np.where(u[:, 1] < 0.125, 1, 2))
-        outcome_codes = np.searchsorted(support, _ADVERSARIAL_LOG_OUTCOMES)
-        return np.take(outcome_codes.T.astype(code_type), outcome, axis=1), outcome
-    levels = scenario.levels
-    hi_code, lo_code = np.searchsorted(support, _level_log_points(levels)).T.astype(code_type)
-    u = rng.random((rows, scenario.n + 1))
-    cumulative = np.cumsum([level.prob for level in levels])
-    pick = np.minimum(np.searchsorted(cumulative, u[:, 0], side="right"), len(levels) - 1)
-    hit = np.less(u[:, 1:].T, np.array([level.p for level in levels])[pick], order="C")
+        pick = np.where(u[:, 0] < 0.5, 0, np.where(u[:, 1] < 0.125, 1, 2))
+        hit = np.array([[False], [True]])
+    else:
+        u = rng.random((rows, scenario.n + 1))
+        cumulative = np.cumsum(np.array([level.prob for level in levels], dtype=float))
+        pick = np.minimum(np.searchsorted(cumulative, u[:, 0], side="right"), len(levels) - 1)
+        p = np.array([level.p for level in levels], dtype=float)
+        hit = np.less(u[:, 1:].T, p[pick], order="C")
     # integer arithmetic on the hit mask: a broadcast np.where on it is
     # about twenty times slower on a (20, 4096) block
     codes = lo_code[pick] + (hi_code - lo_code)[pick] * hit
@@ -411,7 +418,7 @@ def _sample_rows(scenario: Scenario, rng: np.random.Generator, rows: int) -> np.
         codes, _ = _sample_codes(scenario, support, rng, rows)
         return np.ascontiguousarray(support[codes].T)
     if isinstance(scenario, IidLognormal):
-        sigma = scenario.sigma
+        sigma = float(scenario.sigma)
         return sigma * rng.standard_normal((rows, scenario.n)) - 0.5 * sigma * sigma
     raise ConfigError(f"unknown scenario type: {type(scenario).__name__}")
 
@@ -426,14 +433,15 @@ def generate(scenario: Scenario, rng: np.random.Generator) -> EValueVector:
 
 
 @contextmanager
-def _drawable_blocks(n: int, replications: int) -> Iterator[None]:
+def _drawable_blocks(n: int, replications: int, classes: int = 0) -> Iterator[None]:
     """Turn blocks of replications of n entries that are too large to
     draw into a ConfigError: before the first draw when a block's n + 1
-    draws per row are more elements than numpy can index, and when a
-    block's arrays or the classes' canonical rows do not fit in memory."""
+    draws per row, or the counts of ``classes`` outcome classes, are
+    more 8-byte numbers than numpy can index, and when a block's arrays,
+    the counts or the classes' canonical rows do not fit in memory."""
     rows = min(_BLOCK, replications)
     too_large = f"a block of {rows} replications of n = {n} entries is too large"
-    if rows * (n + 1) > np.iinfo(np.intp).max:
+    if max(rows * (n + 1), classes) * 8 > np.iinfo(np.intp).max:
         raise ConfigError(f"{too_large} to index")
     try:
         yield
@@ -497,12 +505,11 @@ def _ville_peaks(codes: np.ndarray, support: np.ndarray) -> np.ndarray:
 def _class_rows(scenario: Scenario, classes: np.ndarray) -> np.ndarray:
     """The canonical row of each outcome class, as :func:`_sample_codes`
     numbers the classes: the class's log support points in ascending
-    order, a (classes, n) matrix.  A two-point or factor class is
-    (level, count of hi entries) = divmod(class, n + 1)."""
-    if isinstance(scenario, AdversarialScenario):
-        return np.sort(_ADVERSARIAL_LOG_OUTCOMES[classes], axis=1)
+    order, a (classes, n) matrix.  Every finite law's class is
+    (level, count of hi entries) = divmod(class, n + 1), so a row holds
+    count hi points and n - count lo points of its level."""
     level, count = np.divmod(classes, scenario.n + 1)
-    log_hi, log_lo = _level_log_points(scenario.levels)[level].T
+    log_hi, log_lo = _level_log_points(_levels(scenario))[level].T
     is_hi = np.arange(scenario.n) < count[:, None]
     return np.sort(np.where(is_hi, log_hi[:, None], log_lo[:, None]), axis=1)
 
@@ -567,22 +574,23 @@ def _run_batch(
         betting_only = verdicts[StatKind.OPTIMIZED_BETTING] & ~verdicts[StatKind.MAX_AVERAGE]
         violations += int(np.sum(weights * betting_only))
 
-    support = _log_support(scenario)
-    with _drawable_blocks(scenario.n, replications):
-        if support is None:
+    levels = _levels(scenario)
+    classes = 0 if levels is None else len(levels) * (scenario.n + 1)
+    with _drawable_blocks(scenario.n, replications, classes):
+        if levels is None:
             for log_rows in _sample_blocks(partial(_sample_rows, scenario), seed, replications):
                 tally(_reject_rows(log_rows, alpha), 1)
         else:
-            class_counts: Counter[int] = Counter()
+            support = _log_support(scenario)
+            class_counts = np.zeros(classes, dtype=np.int64)
             sample = partial(_sample_codes, scenario, support)
-            for codes, classes in _sample_blocks(sample, seed, replications):
+            for codes, block_classes in _sample_blocks(sample, seed, replications):
                 # numpy gathers with intp indices: cast once per block, not per gather
                 ville = decide_batch(_ville_peaks(codes.astype(np.intp), support), alpha)[2]
                 rejected[StatKind.VILLE_SEQUENTIAL] += int(np.count_nonzero(ville))
-                keys, sizes = np.unique(classes, return_counts=True)
-                class_counts.update(dict(zip(keys.tolist(), sizes.tolist())))
-            seen, counts = (np.array(a) for a in zip(*class_counts.items()))
-            tally(_batch_verdicts(_class_rows(scenario, seen), alpha), counts)
+                class_counts += np.bincount(block_classes, minlength=classes)
+            seen = np.flatnonzero(class_counts)
+            tally(_batch_verdicts(_class_rows(scenario, seen), alpha), class_counts[seen])
     rates = {kind: count / replications for kind, count in rejected.items()}
     return MonteCarloSummary(
         replications=replications,
@@ -737,23 +745,16 @@ def mc_demimartingale_sweep(
 
 
 def _decimal_fraction(x: float | int | str | Fraction) -> Fraction:
-    """Exact rational for a scenario parameter.
+    """Exact rational for a scenario parameter or a threshold.
 
-    Floats are converted through their shortest decimal repr, so a
-    parameter typed as 0.1 means exactly 1/10 in the enumeration.
+    Floats, numpy's among them, are converted through their shortest
+    decimal string, so a parameter typed as 0.1 means exactly 1/10 in
+    the enumeration; text is read as a decimal or a fraction.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        if math.isnan(x) or math.isinf(x):
-            raise ConfigError(f"enumeration parameter must be finite, got {x}")
-        return Fraction(repr(x))
     try:
-        return Fraction(str(x))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"enumeration parameter must be a number, got {x!r}") from exc
+        return Fraction(str(x) if isinstance(x, (float, np.floating)) else x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"enumeration parameter must be a number (finite), got {x!r}") from exc
 
 
 def _reject_exact(
@@ -765,34 +766,31 @@ def _reject_exact(
 
 
 def _level_rejection_probability(
-    level: FactorLevel, n: int, threshold: Fraction, statistic_kind: StatKind
+    level: FactorLevel | _OutcomeLevel, n: int, threshold: Fraction, statistic_kind: StatKind
 ) -> Fraction:
-    """Sum of P(outcome class) over rejecting classes of n iid draws
-    from a level's two-point law.
+    """Sum of P(outcome class) over the rejecting classes of a level's
+    rows of n entries.
 
-    Both batch statistics are permutation invariant, so the 2^n
-    outcomes collapse into n+1 classes by the count of hi entries, each
-    carrying a binomial weight.  Both are also nondecreasing in every
-    entry, so with hi >= lo the rejecting classes are those from some
-    count on; bisection finds it in about log2(n + 2) exact decisions.
+    Both batch statistics are permutation invariant, so the rows collapse
+    into classes by their count of hi entries, weighted by the level's
+    count law (binomial, or count 1 for an adversarial outcome).  Both
+    are also nondecreasing in every entry, so with hi >= lo the rejecting
+    classes are those from some count on; bisection over the counts of
+    positive weight finds it in about log2(n + 2) exact decisions.
     """
-    p, hi, lo = (_decimal_fraction(v) for v in (level.p, level.hi, level.lo))
+    hi, lo = _decimal_fraction(level.hi), _decimal_fraction(level.lo)
+    weights, denominator = level._count_law(n)
     if hi < lo:
-        p, hi, lo = 1 - p, lo, hi
+        hi, lo, weights = lo, hi, weights[::-1]
+    counts = [count for count, weight in enumerate(weights) if weight]
     first = bisect.bisect_left(
-        range(n + 1),
+        counts,
         True,
         key=lambda count: _reject_exact(
             [hi] * count + [lo] * (n - count), threshold, statistic_kind
         ),
     )
-    # weight of count c: C(n, c) p^c (1 - p)^(n - c), over one denominator
-    pn, pd = p.numerator, p.denominator
-    qn = pd - pn
-    return Fraction(
-        sum(math.comb(n, c) * pn**c * qn ** (n - c) for c in range(first, n + 1)),
-        pd**n,
-    )
+    return Fraction(sum(weights[count] for count in counts[first:]), denominator)
 
 
 def enumerate_exact(
@@ -809,37 +807,29 @@ def enumerate_exact(
     permutation-invariant batch statistics; the sequential statistic
     depends on outcome order and is not offered here.
     """
-    if not isinstance(statistic_kind, StatKind):
-        try:
-            statistic_kind = StatKind(statistic_kind)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"unknown statistic: {statistic_kind!r}") from exc
+    try:
+        statistic_kind = StatKind(statistic_kind)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"unknown statistic: {statistic_kind!r}") from exc
     if statistic_kind is StatKind.VILLE_SEQUENTIAL:
         raise ConfigError(
             "exact enumeration covers the two batch statistics; the "
             "sequential statistic depends on outcome order"
         )
     threshold = _decimal_fraction(threshold)
-
-    if isinstance(scenario, AdversarialScenario):
-        total = Fraction(0)
-        for values, prob in _ADVERSARIAL_LAW:
-            if _reject_exact(list(values), threshold, statistic_kind):
-                total += prob
-        return total
-
-    if not isinstance(scenario, (IidTwoPoint, FactorScenario)):
+    levels = _levels(scenario)
+    if levels is None:
         raise ConfigError(
             f"scenario {type(scenario).__name__} does not have finite support"
         )
     # levels * 2^n > limit, decided without building 2^n for a huge n
-    if scenario.n >= (MAX_ENUMERATION_OUTCOMES // len(scenario.levels)).bit_length():
+    if scenario.n >= (MAX_ENUMERATION_OUTCOMES // len(levels)).bit_length():
         raise ConfigError(
-            f"outcome space {len(scenario.levels)} x 2^{scenario.n} exceeds "
+            f"outcome space {len(levels)} x 2^{scenario.n} exceeds "
             f"the enumeration limit of {MAX_ENUMERATION_OUTCOMES}"
         )
     total = Fraction(0)
-    for level in scenario.levels:
+    for level in levels:
         total += _decimal_fraction(level.prob) * _level_rejection_probability(
             level, scenario.n, threshold, statistic_kind
         )

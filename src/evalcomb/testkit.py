@@ -28,7 +28,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .betting import BettingOptimum, log_wealth, optimize_lambda
-from .core import GUARANTEED_REGIMES, EValueVector, LogValue, Regime
+from .core import GUARANTEED_REGIMES, EValueVector, LogValue, Regime, _checked_number
 from .errors import ConfigError, ValidationError
 from .sympoly import SymmetricAverages, symmetric_averages
 
@@ -94,13 +94,8 @@ class TestReport:
 
 
 def _checked_alpha(alpha: float) -> float:
-    if isinstance(alpha, (str, bytes, bytearray)):
-        raise ConfigError(f"alpha must be a number, not text: {alpha!r}")
-    try:
-        alpha = float(alpha)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"alpha must be a number, got {alpha!r}") from exc
-    if math.isnan(alpha) or not (0.0 < alpha < 1.0):
+    alpha = _checked_number("alpha", alpha)
+    if not (0.0 < alpha < 1.0):
         raise ConfigError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     return alpha
 

@@ -558,6 +558,16 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "too large to index" in err
 
+    @pytest.mark.parametrize("spec", ["two_point:p=0.5,hi=2,n=2e18", "factor:default,n=1e18"])
+    def test_block_bytes_numpy_cannot_index_is_config_error(self, capsys, spec):
+        """One replication: n + 1 draws, or a factor law's 2 (n + 1) class
+        counts, that numpy could count but not address in bytes."""
+        argv = ["simulate", "--scenario", spec, "--alpha", "0.5", "--reps", "1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too large to index" in err
+
     def test_block_out_of_memory_is_config_error(self, capsys, monkeypatch):
         """An allocation failure of a block, simulated without allocating."""
 

@@ -56,6 +56,23 @@ from evalcomb.testkit import (
 
 NULL_TP = two_point_scenario(p=0.5, n=6, lo=0.0, mean=1.0)
 
+NUMERIC_FIELDS = {
+    "alpha": lambda v: test_max_average(EValueVector(np.zeros(3)), v),
+    "mc alpha": lambda v: mc_type1(NULL_TP, v, 10, seed=0),
+    "two_point p": lambda v: IidTwoPoint(p=v, hi=2.0, lo=0.0, n=3),
+    "two_point hi": lambda v: IidTwoPoint(p=0.5, hi=v, lo=0.0, n=3),
+    "two_point lo": lambda v: IidTwoPoint(p=0.5, hi=2.0, lo=v, n=3),
+    "two_point_scenario hi": lambda v: two_point_scenario(p=0.5, n=3, hi=v),
+    "two_point_scenario mean": lambda v: two_point_scenario(p=0.5, n=3, mean=v),
+    "lognormal sigma": lambda v: IidLognormal(sigma=v, n=3),
+    **{
+        f"level {name}": lambda v, name=name: FactorScenario(
+            (FactorLevel(**{**dict(prob=1.0, p=0.5, hi=2.0, lo=0.0), name: v}),), 3
+        )
+        for name in ("prob", "p", "hi", "lo")
+    },
+}
+
 
 # ----- scenario construction -----
 
@@ -123,6 +140,32 @@ class TestScenarios:
         sc = AdversarialScenario()
         assert sc.n == 2
         assert sc.is_null
+
+    @pytest.mark.parametrize(
+        "value", ["0.5", b"1", None, 10**400], ids=["text", "bytes", "None", "10**400"]
+    )
+    @pytest.mark.parametrize("field", sorted(NUMERIC_FIELDS))
+    def test_numeric_fields_refuse_non_numbers(self, field, value):
+        """Text, None and an int beyond the float range are a ConfigError
+        in alpha and in every numeric scenario field, not a raw
+        TypeError or OverflowError, and text is never stored."""
+        with pytest.raises(ConfigError):
+            NUMERIC_FIELDS[field](value)
+
+    def test_fraction_parameters_stay_exact(self):
+        """A Fraction scenario keeps its values: it samples as its float
+        rounding does and enumerates exactly."""
+        exact = IidTwoPoint(p=Fraction(1, 3), hi=Fraction(3), lo=0, n=4)
+        assert exact.p == Fraction(1, 3)
+        rounded = IidTwoPoint(p=1 / 3, hi=3.0, lo=0.0, n=4)
+        want = mc_power(rounded, 0.5, 5000, seed=1).rejection_rate
+        assert mc_power(exact, 0.5, 5000, seed=1).rejection_rate == want
+        # A_3 of three 3s is 27/4, and two 3s reach only 3/2
+        assert enumerate_exact(exact, 2, StatKind.MAX_AVERAGE) == Fraction(1, 9)
+
+    def test_numpy_float_parameters_enumerate(self):
+        sc = IidTwoPoint(p=np.float64(0.5), hi=np.float64(2.0), lo=0.0, n=2)
+        assert enumerate_exact(sc, np.float64(2.0), StatKind.MAX_AVERAGE) == Fraction(1, 4)
 
 
 # ----- streams and generators -----
@@ -461,7 +504,39 @@ def _assert_same_verdicts(scenario, block, alpha):
     return seen
 
 
+def _class_probabilities(scenario):
+    """P(class) for every class number level * (n + 1) + count, worked out
+    here from the law: the level's probability times the binomial weight
+    of the count, and for the adversarial law 1/2, 1/16 and 7/16 on its
+    three outcomes, each with count 1."""
+    n = scenario.n
+    if isinstance(scenario, AdversarialScenario):
+        return np.array([0, 1 / 2, 0, 0, 1 / 16, 0, 0, 7 / 16, 0])
+    return np.array(
+        [
+            level.prob * math.comb(n, c) * level.p**c * (1 - level.p) ** (n - c)
+            for level in scenario.levels
+            for c in range(n + 1)
+        ]
+    )
+
+
 class TestOutcomeClasses:
+    @pytest.mark.parametrize("spec", CLI_SPECS)
+    def test_class_frequencies_match_class_probabilities(self, spec):
+        """Every class the sampler emits lies below levels * (n + 1), and
+        over one 20000-row draw the class frequencies are the exact class
+        probabilities within 6 SE (a class of probability 0 never occurs)."""
+        scenario = parse_scenario(spec)
+        want = _class_probabilities(scenario)
+        assert want.sum() == pytest.approx(1.0)
+        rows = 20_000
+        _, classes = _sample_codes(scenario, _log_support(scenario), replication_stream(3, 0), rows)
+        assert 0 <= classes.min() and classes.max() < len(want)
+        got = np.bincount(classes, minlength=len(want)) / rows
+        se = np.sqrt(want * (1 - want) / rows)
+        assert (np.abs(got - want) <= 6 * se).all(), (got, want)
+
     def test_support_of_each_scenario(self):
         assert _log_support(AdversarialScenario()).tolist() == [
             -math.inf, 0.0, math.log(2.0), math.log(8.0)
@@ -926,3 +1001,7 @@ class TestClassBisection:
             enumerate_exact(sc, 10, kind)
             # 19 classes: bisection needs at most ceil(log2(20)) = 5
             assert 1 <= len(decided) <= 5
+            # the adversarial law: one class of count 1 on each of its 3 levels
+            decided.clear()
+            enumerate_exact(AdversarialScenario(), 2, kind)
+            assert len(decided) == 3
