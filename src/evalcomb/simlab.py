@@ -110,18 +110,14 @@ def _checked_int(name: str, value: float, minimum: int) -> int:
     return int(value)
 
 
-def _check_prob(name: str, value: float) -> float:
-    value = _checked_number(name, value)
-    if not (0.0 <= value <= 1.0):
+def _check_prob(name: str, value: float) -> None:
+    if not (0.0 <= _checked_number(name, value) <= 1.0):
         raise ConfigError(f"{name} must be a probability in [0, 1], got {value}")
-    return value
 
 
-def _check_support_point(name: str, value: float) -> float:
-    value = _checked_number(name, value)
-    if value < 0.0 or math.isinf(value):
+def _check_support_point(name: str, value: float) -> None:
+    if not (0.0 <= _checked_number(name, value) < math.inf):
         raise ConfigError(f"{name} must be a finite nonnegative value, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -171,18 +167,21 @@ def two_point_scenario(
 
     Given a target mean, the upper support point is solved from
     p * hi + (1-p) * lo = mean.  Supplying both hi and mean is allowed
-    only when they agree.
+    only when they agree.  The values are kept as given, so Fraction
+    arguments stay exact for :func:`enumerate_exact`.
     """
-    p = _check_prob("p", p)
-    lo = _check_support_point("lo", lo)
+    _check_prob("p", p)
+    _check_support_point("lo", lo)
     if hi is None and mean is None:
         raise ConfigError("two_point needs either hi or mean")
-    hi = None if hi is None else _check_support_point("hi", hi)
+    if hi is not None:
+        _check_support_point("hi", hi)
     if mean is not None:
-        if p == 0.0:
+        _checked_number("mean", mean)
+        if p == 0:
             raise ConfigError("cannot derive hi from mean when p = 0")
-        derived = (_checked_number("mean", mean) - (1.0 - p) * lo) / p
-        if derived < 0.0 or math.isnan(derived):
+        derived = (mean - (1 - p) * lo) / p
+        if derived < 0:
             raise ConfigError(
                 f"mean {mean} is not reachable with p={p}, lo={lo}"
             )

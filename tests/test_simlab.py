@@ -162,6 +162,9 @@ class TestScenarios:
         assert mc_power(exact, 0.5, 5000, seed=1).rejection_rate == want
         # A_3 of three 3s is 27/4, and two 3s reach only 3/2
         assert enumerate_exact(exact, 2, StatKind.MAX_AVERAGE) == Fraction(1, 9)
+        built = two_point_scenario(p=Fraction(1, 3), n=4, lo=0, mean=1)
+        assert (built.p, built.hi) == (Fraction(1, 3), Fraction(3))
+        assert enumerate_exact(built, 2, StatKind.MAX_AVERAGE) == Fraction(1, 9)
 
     def test_numpy_float_parameters_enumerate(self):
         sc = IidTwoPoint(p=np.float64(0.5), hi=np.float64(2.0), lo=0.0, n=2)
