@@ -37,12 +37,14 @@ def _layout(n: int) -> tuple[int, tuple[int, ...]]:
     return b0, (_FAN_OUT,) * (levels - 1) + (top,) * (levels > 0)
 
 
-def log_esp_rows(log_rows: np.ndarray) -> np.ndarray:
-    """log S_0 .. log S_n for each row of a float (rows, n) matrix of
-    log e-values; see :func:`evalcomb.sympoly.log_esp_batch`."""
+def log_esp_rows(log_rows: np.ndarray, columns: int | None = None) -> np.ndarray:
+    """log S_0 .. log S_(c - 1), c = min(columns, n + 1), for each row
+    of a float (rows, n) matrix of log e-values; see
+    :func:`evalcomb.sympoly.log_esp_batch`."""
     rows, n = log_rows.shape
+    columns = n + 1 if columns is None else min(columns, n + 1)
     if rows == 0:
-        return np.empty((0, n + 1))
+        return np.empty((0, columns))
     b0, fans = _layout(n)
     entries = np.zeros((rows, b0 * math.prod(fans)))
     # Entries within 2^+-(h - 1), h as in _base_scales, need no scaling;
@@ -50,17 +52,17 @@ def log_esp_rows(log_rows: np.ndarray) -> np.ndarray:
     tame = np.abs(log_rows) <= (_BLOCK_BITS // b0 - 2) * math.log(2.0)
     if n <= _MAX_FAST_N and (tame | (log_rows == LOG_ZERO)).all():
         np.exp(log_rows, out=entries[:, :n])
-        return _fast_esp(entries, None, b0, fans, n)
+        return _fast_esp(entries, None, b0, fans, columns)
     normal = (log_rows >= _LOG_TINY) & (log_rows <= _LOG_HUGE)
     np.exp(log_rows, out=entries[:, :n], where=normal)
     tau, fast = _base_scales(entries, b0)
     fast &= np.logical_and.reduce(normal | (log_rows == LOG_ZERO), axis=1)
     fast &= n <= _MAX_FAST_N
-    out = np.empty((rows, n + 1))
+    out = np.empty((rows, columns))
     if not fast.all():
-        out[~fast] = _log_domain_esp(log_rows[~fast])
+        out[~fast] = _log_domain_esp(log_rows[~fast], columns)
     if fast.any():
-        out[fast] = _fast_esp(entries[fast], tau[fast], b0, fans, n)
+        out[fast] = _fast_esp(entries[fast], tau[fast], b0, fans, columns)
     return out
 
 
@@ -84,7 +86,7 @@ def _base_scales(entries: np.ndarray, b0: int) -> tuple[np.ndarray, np.ndarray]:
     return tau, np.logical_and.reduce(hi - lo <= 2 * h, axis=1)
 
 
-def _fast_esp(entries, tau, b0: int, fans: tuple[int, ...], n: int) -> np.ndarray:
+def _fast_esp(entries, tau, b0: int, fans: tuple[int, ...], columns: int) -> np.ndarray:
     """The linear-domain kernel on rows that pass the range test; tau
     None means every scale exponent is 0."""
     blocks, powers = entries.reshape(-1, b0), None
@@ -100,34 +102,40 @@ def _fast_esp(entries, tau, b0: int, fans: tuple[int, ...], n: int) -> np.ndarra
         np.multiply(lo, column, out=buf)
         np.add(hi, buf, out=hi)
     if not fans:
-        s = s[:, : n + 1]
+        s = s[:, :columns]
         if powers is None:
             return _log(s)
-        return _log_from_parts(s, powers[:, : n + 1], 1020 - _BLOCK_BITS)
-    mu, g = np.frexp(s)
+        return _log_from_parts(s, powers[:, :columns], 1020 - _BLOCK_BITS)
+    mu, g = np.frexp(s[:, :columns])
     if powers is not None:
-        g += powers
+        g += powers[:, :columns]
     g[mu == 0] = _ZERO_EXP
     with np.errstate(under="ignore"):
         for fan in fans:
-            mu, g = _fold(mu.reshape(-1, fan, mu.shape[1]), g.reshape(-1, fan, g.shape[1]))
-    return _log_from_parts(mu[:, : n + 1], g[:, : n + 1], 1000)
+            shape = (-1, fan, mu.shape[1])
+            mu, g = _fold(mu.reshape(shape), g.reshape(shape), columns)
+    return _log_from_parts(mu[:, :columns], g[:, :columns], 1000)
 
 
-def _fold(mu: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fold(mu: np.ndarray, g: np.ndarray, columns: int) -> tuple[np.ndarray, np.ndarray]:
     """Sums of each group of blocks from the blocks' sums mu 2^g, an
     exact zero having g = _ZERO_EXP: (groups, fan, d + 1) ->
-    (groups, fan * d + 1) mantissas in [1/2, 1) and exponents.
+    (groups, min(fan * d + 1, columns)) mantissas in [1/2, 1) and
+    exponents.
 
     Block t is applied to the running sums as S'_j = sum_i e_i S_(j-i),
-    i = 0..d.  Each term's exponent is taken relative to the largest
+    i = 0..d.  Output column j reads only columns <= j of its inputs, so
+    inputs cut to ``columns`` columns give the first ``columns`` sums
+    bit for bit: the terms dropped are zeros at the end of each column's
+    sum.  Each term's exponent is taken relative to the largest
     term of its column and ``ldexp`` scales the mantissa by the
     difference, so every term is at most 1 and the largest at least 1/4:
     a column sum neither overflows nor loses a term that matters.  Only
     terms below 2^-1022 of the largest underflow.
     """
     groups, fan, d1 = mu.shape
-    d, width = d1 - 1, fan * (d1 - 1) + 1
+    d = d1 - 1
+    width = min(fan * d + 1, columns)
     # d leading zero columns let every window start at column 0
     M = np.zeros((groups, d + width))
     X = np.full((groups, d + width), _ZERO_EXP, dtype=np.int32)
@@ -141,7 +149,7 @@ def _fold(mu: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for t in range(1, fan):
         # Columns go high to low, so each slice reads only columns the
         # block has not updated yet; no slice is one column wide.
-        hi = (t + 1) * d + 1
+        hi = min((t + 1) * d + 1, width)
         while hi > 0:
             lo = 0 if hi <= step + 1 else hi - step
             shape = (groups, d1, hi - lo)
@@ -180,15 +188,17 @@ def _log_from_parts(M: np.ndarray, X: np.ndarray, near: int) -> np.ndarray:
     return logs
 
 
-def _log_domain_esp(log_rows: np.ndarray) -> np.ndarray:
+def _log_domain_esp(log_rows: np.ndarray, columns: int | None = None) -> np.ndarray:
     """The fallback: the same one-pass recursion with a log-sum-exp per
-    cell.  The NaN patch applies the 0 * inf == 0 rule: IEEE turns those
-    products (-inf plus +inf) into NaN, and the convention says zero."""
+    cell, over the first ``columns`` (default n + 1) sums.  The NaN
+    patch applies the 0 * inf == 0 rule: IEEE turns those products (-inf
+    plus +inf) into NaN, and the convention says zero."""
     rows, n = log_rows.shape
-    s = np.full((rows, n + 1), LOG_ZERO)
+    columns = n + 1 if columns is None else columns
+    s = np.full((rows, columns), LOG_ZERO)
     s[:, 0] = 0.0
-    buf = np.empty((rows, n))
-    lo, hi = s[:, :n], s[:, 1:]
+    buf = np.empty((rows, columns - 1))
+    lo, hi = s[:, :-1], s[:, 1:]
     patch_products = bool((log_rows == LOG_INF).any())
     with np.errstate(invalid="ignore"):
         for column in log_rows.T[:, :, None]:

@@ -4,7 +4,9 @@ Three subcommands:
 
 ``combine``
     Read e-values from a file, run the requested combination tests,
-    and print one JSON object (or TSV row) per statistic.
+    and print one JSON object (or TSV row) per statistic.  Its
+    ``statistic`` field is exp(``log_statistic``), the authoritative
+    value, and may differ from an exact statistic in the last digits.
 
 ``simulate``
     Monte Carlo rejection rates for a scenario, as a single JSON
@@ -175,31 +177,36 @@ def _read_number_file(
             raw_lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
-    values = []
-    for lineno, line in enumerate(raw_lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        if not values and header is not None and text.lower() == header:
-            header = None
-            continue
-        try:
-            value = float(text)
-        except ValueError as exc:
-            raise ValidationError(
-                f"{what} file {path}, line {lineno}: not a number: {text!r}"
-            ) from exc
-        if math.isnan(value):
-            raise ValidationError(f"{what} file {path}, line {lineno}: NaN is not allowed")
-        if nonnegative and value < 0:
-            raise ValidationError(
-                f"{what} file {path}, line {lineno}: negative value {value} "
-                f"is not a valid {what}"
-            )
-        values.append(value)
-    if not values:
+    texts = [text for text in map(str.strip, raw_lines) if text and not text.startswith("#")]
+    start = int(bool(texts) and header is not None and texts[0].lower() == header)
+    if start == len(texts):
         raise ValidationError(f"{what} file {path} contains no values")
-    return np.asarray(values, dtype=float)
+    try:
+        values = np.fromiter(map(float, texts[start:]), dtype=float, count=len(texts) - start)
+    except ValueError:  # a line that is not a number, named below
+        values = None
+    if values is None or np.isnan(values).any() or (nonnegative and (values < 0).any()):
+        # The error path: find the first offending line, in file order.
+        linenos = [
+            lineno
+            for lineno, text in enumerate(map(str.strip, raw_lines), start=1)
+            if text and not text.startswith("#")
+        ]
+        for lineno, text in zip(linenos[start:], texts[start:]):
+            try:
+                value = float(text)
+            except ValueError as exc:
+                raise ValidationError(
+                    f"{what} file {path}, line {lineno}: not a number: {text!r}"
+                ) from exc
+            if math.isnan(value):
+                raise ValidationError(f"{what} file {path}, line {lineno}: NaN is not allowed")
+            if nonnegative and value < 0:
+                raise ValidationError(
+                    f"{what} file {path}, line {lineno}: negative value {value} "
+                    f"is not a valid {what}"
+                )
+    return values
 
 
 def _parse_stats(text: str) -> list[StatKind]:

@@ -56,7 +56,7 @@ from ._ratpoly import max_average_reaches, poly_max_reaches
 from .betting import _log_factors, log_wealth, optimize_lambda_batch
 from .core import EValueVector, Regime, _checked_number
 from .errors import ConfigError
-from .sympoly import log_averages_batch
+from .sympoly import _max_average_rows, log_averages_batch
 from .testkit import StatKind, _checked_alpha, decide_batch
 
 __all__ = [
@@ -253,9 +253,16 @@ class FactorScenario:
     regime: ClassVar[Regime] = Regime.SIMULTANEOUS
 
     def __post_init__(self) -> None:
-        if not self.levels:
+        try:
+            levels = tuple(self.levels)
+        except TypeError as exc:
+            raise ConfigError(f"factor levels must be a sequence, got {self.levels!r}") from exc
+        if not levels:
             raise ConfigError("factor scenario needs at least one level")
-        object.__setattr__(self, "levels", tuple(self.levels))
+        for level in levels:
+            if not isinstance(level, FactorLevel):
+                raise ConfigError(f"factor levels must be FactorLevel, got {level!r}")
+        object.__setattr__(self, "levels", levels)
         total = sum(level.prob for level in self.levels)
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"factor level probabilities must sum to 1, got {total}")
@@ -466,7 +473,7 @@ def _sample_blocks(
 def _batch_verdicts(log_rows: np.ndarray, alpha: float) -> dict[StatKind, np.ndarray]:
     """The max-average and betting verdicts on every row."""
     log_statistics = {
-        StatKind.MAX_AVERAGE: log_averages_batch(log_rows)[1].max(axis=1),
+        StatKind.MAX_AVERAGE: _max_average_rows(log_rows)[1],
         StatKind.OPTIMIZED_BETTING: optimize_lambda_batch(log_rows).log_value,
     }
     return {kind: decide_batch(ls, alpha)[2] for kind, ls in log_statistics.items()}

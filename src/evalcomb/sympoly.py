@@ -29,6 +29,22 @@ block, runs the log-domain recursion with a log-sum-exp per cell
 instead.  Both paths keep 0 * inf = 0: the linear-domain kernel never
 sees an ``inf``, and the fallback turns the NaN of each such product
 into a zero.
+
+The max statistic needs only a prefix of the sums.  For nonnegative
+entries Newton's inequalities give A_k^2 >= A_(k-1) A_(k+1), so log A_k
+is concave in k: once A_(k+1) <= A_k the averages never rise again, and
+the maximum is A_k at the first such k (n when there is none).  The
+kernel takes a column limit, and in each fold output column j reads
+only input columns <= j, so the first c sums of a limited run are bit
+for bit those of the full run.  :func:`evalcomb.testkit.test_max_average`
+and the Monte Carlo drivers run the kernel at a limit a little past an
+estimate of the argmax (n times the betting optimum, which it tracks
+to about one index) and raise the limit for rows that show no descent
+within it; :func:`symmetric_averages` computes every sum and reads its
+maximum by the same first-descent rule.  In floats the rule and
+``np.argmax`` agree except where rounding breaks exact ties: on all-ones
+input every A_k is exactly 1 and the rule gives k = 0, A_1 = n / n
+being exact.
 """
 
 from __future__ import annotations
@@ -98,24 +114,25 @@ def log_averages_batch(log_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class SymmetricAverages:
-    """The averages A_0 .. A_n with their maximum.
+    """The averages A_k with their maximum.
 
-    ``argmax_k`` is the smallest index attaining the maximum, so the
-    report is deterministic under ties.  ``trivial_max`` is True when
-    nothing beats A_0 = 1, i.e. the statistic carries no evidence.
+    ``argmax_k`` is the first k with A_(k+1) <= A_k (n when the averages
+    never descend), which is the smallest index attaining the maximum,
+    so the report is deterministic under ties.  ``trivial_max`` is True
+    when nothing beats A_0 = 1, i.e. the statistic carries no evidence.
 
-    ``log_S`` and ``log_A`` hold log S_k and log A_k for k = 0..n as
-    read-only float64 arrays.
+    ``log_S`` and ``log_A`` hold log S_k and log A_k as read-only
+    float64 arrays: for every k = 0..n from :func:`symmetric_averages`,
+    and for k = 0..min(argmax_k + 1, n), the prefix through the descent,
+    in the detail of :func:`evalcomb.testkit.test_max_average`.  ``n`` is
+    the number of e-values either way.
     """
 
     argmax_k: int
     log_max: LogValue
     log_S: np.ndarray
     log_A: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.log_A.size - 1
+    n: int
 
     @property
     def trivial_max(self) -> bool:
@@ -124,13 +141,91 @@ class SymmetricAverages:
 
 def symmetric_averages(E: EValueVector) -> SymmetricAverages:
     """A_k = S_k / C(n, k) for all k, plus argmax and max."""
-    log_S, log_A = (v[0] for v in log_averages_batch(E.log_values[None]))
+    return _averages(E, full=True)
+
+
+def _averages(E: EValueVector, full: bool) -> SymmetricAverages:
+    """The rows = 1 case of :func:`_max_average_rows` as a report: every
+    average when ``full``, else the prefix through the first descent."""
+    argmax_k, log_max, log_S, log_A = _max_average_rows(E.log_values[None], full)
+    argmax_k = int(argmax_k[0])
+    end = None if full else argmax_k + 2
+    log_S, log_A = log_S[0, :end], log_A[0, :end]
     log_S.flags.writeable = False
     log_A.flags.writeable = False
-    argmax_k = int(np.argmax(log_A))
     return SymmetricAverages(
         argmax_k=argmax_k,
-        log_max=LogValue(float(log_A[argmax_k])),
+        log_max=LogValue(float(log_max[0])),
         log_S=log_S,
         log_A=log_A,
+        n=E.n,
     )
+
+
+_ESTIMATE_STEP = 32  # columns per step of the argmax estimate
+
+
+def _max_average_rows(
+    log_rows: np.ndarray, full: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The max statistic of each row of a (rows, n) matrix of log
+    e-values: (argmax_k, log_max, log_S, log_A).
+
+    argmax_k is each row's first k with log A_(k+1) <= log A_k, or n,
+    and log_max = log A_(argmax_k) (module docstring).  log_S and log_A
+    hold log S_k and log A_k for k < c, the last column limit the search
+    ran at: c >= argmax_k + 2 in every row, or c = n + 1.  With ``full``,
+    and for every layout without folds (n <= 64), c = n + 1 at once.
+    """
+    rows, n = log_rows.shape
+    log_C = log_binomials(n)
+    columns = n + 1 if full or n <= _esp._BASE else _first_columns(log_rows)
+    while True:
+        log_S = _esp.log_esp_rows(log_rows, columns)
+        log_A = log_S - log_C[:columns]
+        argmax_k, log_max = _first_descent(log_A)
+        if columns == n + 1 or (argmax_k < columns - 1).all():
+            return argmax_k, log_max, log_S, log_A
+        # Past half the sums a limited run costs most of a full one.
+        columns = 4 * columns if 8 * columns <= n + 1 else n + 1
+
+
+def _first_descent(log_A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first k with log A_(k+1) <= log A_k, or its last
+    column where it never descends, and log A_k there."""
+    rows, columns = log_A.shape
+    descent = np.empty((rows, columns), dtype=bool)
+    descent[:, -1] = True
+    np.less_equal(log_A[:, 1:], log_A[:, :-1], out=descent[:, :-1])
+    k = descent.argmax(axis=1)
+    return k, log_A[np.arange(rows), k]
+
+
+def _first_columns(log_rows: np.ndarray) -> int:
+    """The column limit the search starts at: m + _ESTIMATE_STEP + 2
+    columns, which show a first descent at any k <= m + _ESTIMATE_STEP,
+    for m the largest over the rows of the smallest multiple of
+    _ESTIMATE_STEP, at least one, with f(m / n) <= 0; at most n + 1.
+
+    f(lambda) = sum_i (E_i - 1) / (1 + lambda (E_i - 1)) is the
+    derivative of the log betting product, so it decreases and n lambda*
+    <= m at its root lambda*.  On lognormal rows at n = 1000-3000 the
+    argmax of the A_k sat within two indices of n lambda*.  The limit
+    only sets the cost: rows with no descent within it take the next.
+    """
+    rows, n = log_rows.shape
+    x, terms = np.expm1(log_rows), np.empty_like(log_rows)
+    lo, hi = np.ones(rows, dtype=np.intp), np.full(rows, -(-n // _ESTIMATE_STEP))
+    mid = lo  # one step first: most rows without evidence stop there
+    with np.errstate(all="ignore"):
+        while (lo < hi).any():
+            lam = np.minimum(mid * (_ESTIMATE_STEP / n), 1.0)[:, None]
+            np.multiply(lam, x, out=terms)
+            terms += 1.0
+            np.divide(x, terms, out=terms)
+            # NaN, from an inf entry, reads as "not above": S_1 = inf
+            # is the maximum there.
+            up = np.add.reduce(terms, axis=1) > 0
+            lo, hi = np.where(up, mid + 1, lo), np.where(up, hi, mid)
+            mid = (lo + hi) // 2
+    return min(n + 1, (int(hi.max(initial=1)) + 1) * _ESTIMATE_STEP + 2)

@@ -30,7 +30,7 @@ import numpy as np
 from .betting import BettingOptimum, log_wealth, optimize_lambda
 from .core import GUARANTEED_REGIMES, EValueVector, LogValue, Regime, _checked_number
 from .errors import ConfigError, ValidationError
-from .sympoly import SymmetricAverages, symmetric_averages
+from .sympoly import SymmetricAverages, _averages
 
 __all__ = [
     "StatKind",
@@ -183,9 +183,15 @@ def _batch_regime_warnings(E: EValueVector) -> tuple[str, ...]:
 
 
 def test_max_average(E: EValueVector, alpha: float) -> TestReport:
-    """Reject when the largest symmetric average reaches 1/alpha."""
+    """Reject when the largest symmetric average reaches 1/alpha.
+
+    The detail is a :class:`~evalcomb.sympoly.SymmetricAverages` whose
+    ``log_S`` and ``log_A`` stop at k = argmax_k + 1, the first descent
+    (or at n): the averages are log-concave in k, so the later ones
+    cannot exceed the maximum and are not computed.
+    """
     alpha = _checked_alpha(alpha)
-    averages = symmetric_averages(E)
+    averages = _averages(E, full=False)
     return _report(
         StatKind.MAX_AVERAGE,
         alpha,

@@ -123,6 +123,37 @@ class TestCombine:
             16.0 / 7.0, rel=1e-9
         )
 
+    def test_all_ones_at_large_n_does_not_reject(self, capsys, evfile):
+        """Every A_k of 2000 ones is exactly 1, so at alpha just below 1
+        the max average must not reject."""
+        path = evfile("1\n" * 2000)
+        code, out, _ = run(
+            capsys,
+            ["combine", "--input", path, "--alpha", "0.999999999999", "--stat", "max_average"],
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["log_statistic"] == 0.0
+        assert record["reject"] is False
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("nan", "NaN is not allowed"),
+            ("-3.5", "negative value -3.5 is not a valid e-value"),
+            ("pear", "not a number: 'pear'"),
+        ],
+    )
+    def test_first_bad_line_deep_in_a_long_file(self, capsys, evfile, bad, message):
+        lines = ["e_value", "# batch", ""] + ["1.5"] * 5000
+        lines[4321] = bad  # line 4322
+        lines[4400] = "banana"  # a later fault is not the one reported
+        path = evfile("\n".join(lines) + "\n")
+        code, out, err = run(capsys, ["combine", "--input", path, "--alpha", "0.05"])
+        assert (code, out) == (2, "")
+        assert f"e-value file {path}, line 4322: {message}" in err
+        assert "banana" not in err
+
     def test_negative_entry_names_line(self, capsys, evfile):
         path = evfile("2\n-1\n")
         code, out, err = run(capsys, ["combine", "--input", path, "--alpha", "0.05"])

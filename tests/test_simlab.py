@@ -129,6 +129,11 @@ class TestScenarios:
                 n=4,
             )
 
+    @pytest.mark.parametrize("levels", [((1.0, 0.5, 2.0, 0.0),), 5, "level", (None,)])
+    def test_factor_levels_must_be_factor_levels(self, levels):
+        with pytest.raises(ConfigError):
+            FactorScenario(levels=levels, n=3)
+
     def test_default_factor_is_null(self):
         sc = default_factor_scenario(8)
         assert sc.is_null
@@ -568,7 +573,7 @@ class TestOutcomeClasses:
         per-row verdicts on the same blocks."""
         scenario = parse_scenario(spec)
         grouped = mc_power(scenario, 0.05, 2 * _BLOCK + 7, seed=4)
-        calls = {kernel: [] for kernel in ("log_averages_batch", "optimize_lambda_batch")}
+        calls = {kernel: [] for kernel in ("_max_average_rows", "optimize_lambda_batch")}
         for kernel, batches in calls.items():
             real = getattr(simlab, kernel)
 

@@ -14,12 +14,14 @@ from evalcomb.betting import log_wealth
 from evalcomb.core import LOG_INF, LOG_ZERO, validate_evalues
 from evalcomb.errors import ValidationError
 from evalcomb.sympoly import (
+    _max_average_rows,
     log_averages_batch,
     log_binomials,
     log_esp,
     log_esp_batch,
     symmetric_averages,
 )
+from evalcomb.testkit import test_max_average
 from oracles import identity_residuals, mixture_value, naive_symmetric_sums
 
 
@@ -299,6 +301,148 @@ def test_empty_batch_has_no_rows(n):
     log_S, log_A = log_averages_batch(np.empty((0, n)))
     assert log_S.shape == log_A.shape == (0, n + 1)
     assert log_esp_batch(np.empty((0, n))).shape == (0, n + 1)
+
+
+# ----- column limit and first descent -----
+
+
+def _path_rows(rng, n):
+    """Rows for each kernel path: unscaled (lognormal sigma 1), scaled
+    (sigma 1 times 1e100), scaled at n <= 1000 and the log-domain
+    fallback at n = 3000, whose base blocks span more binades (sigma 4
+    and 6), and the fallback at every n (an inf, subnormals among large
+    entries, a 0 next to an inf)."""
+    rows = np.exp(rng.standard_normal((7, n)) * [[1.0], [4.0], [1.0], [6.0], [1.0], [1.0], [1.0]])
+    rows[2] *= 1e100
+    rows[4, rng.integers(n)] = math.inf
+    rows[5, :: max(1, n // 4)] = 5e-324
+    rows[5, -1] = 1e200
+    rows[6, :2] = [0.0, math.inf][: min(n, 2)]
+    return _log_vals(rows)
+
+
+def _limits(n):
+    """Every column limit up to n + 1 for n <= 600; beyond, every limit
+    up to 66, those at and just past the first and last block edges of
+    each fold level, a stride, and n, n + 1."""
+    if n <= 600:
+        return list(range(1, n + 2))
+    b0, fans = _esp._layout(n)
+    limits = set(range(1, 67)) | set(range(1, n + 2, 293)) | {n, n + 1}
+    for level in range(len(fans)):
+        d = b0 * math.prod(fans[:level])
+        edges = list(range(d, n + 1, d))
+        limits |= {m + e for m in edges[:3] + edges[-1:] for e in (0, 1, 2)}
+    return sorted(limits)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 65, 600, 1000, 3000])
+def test_column_limit_gives_the_prefix_of_the_full_kernel(n):
+    """In every fold output column j reads only input columns <= j, so a
+    run limited to c columns gives the first c sums of the full run bit
+    for bit: on an unscaled and a scaled row at every limit of
+    ``_limits``, and on every path alone and in a mixed batch at a
+    sample of them."""
+    log_rows = _path_rows(np.random.default_rng(n), n)
+    full = _esp.log_esp_rows(log_rows)
+    limits = _limits(n)
+    for c in limits:
+        np.testing.assert_array_equal(_esp.log_esp_rows(log_rows[::2][:2], c), full[::2][:2, :c])
+    for c in limits[:: max(1, len(limits) // 6)] + [n + 1]:
+        np.testing.assert_array_equal(_esp.log_esp_rows(log_rows, c), full[:, :c])
+        for row, want in zip(log_rows, full):
+            np.testing.assert_array_equal(_esp.log_esp_rows(row[None], c)[0], want[:c])
+    if n == 3000:  # the paths the rows are meant to take
+        fallback = [_takes_fallback(np.exp(row)) for row in log_rows]
+        assert fallback == [False, True, False, True, True, True, True]
+        assert not (np.abs(log_rows[2]) <= 13).all()  # not tame: scaled
+
+
+def _strong_rows(rng, n):
+    """Rows whose maximum sits at n / 2 or beyond, and at n."""
+    shifts = np.array([[0.6], [0.8], [2.0]])
+    return rng.standard_normal((3, n)) - 0.5 + shifts
+
+
+@pytest.mark.parametrize("n", [2, 30, 64, 65, 200, 1000, 2000, 3000])
+def test_first_descent_is_the_argmax(n):
+    """The first k with log A_(k+1) <= log A_k is np.argmax of the full
+    array, with the identical value, and the prefix is the full sums."""
+    rng = np.random.default_rng([n, 1])
+    null = rng.standard_normal((4, n)) * [[0.3], [1.0], [2.0], [4.0]]
+    null -= null.var(axis=1, keepdims=True) / 2
+    log_rows = np.vstack([null, null[:2] + 0.02, _strong_rows(rng, n)])
+    log_S, log_A = log_averages_batch(log_rows)
+    argmax_k, log_max, prefix_S, prefix_A = _max_average_rows(log_rows)
+    np.testing.assert_array_equal(argmax_k, np.argmax(log_A, axis=1))
+    np.testing.assert_array_equal(log_max, np.max(log_A, axis=1))
+    if n >= 2000:
+        assert (argmax_k[-3:-1] >= n / 2).all() and argmax_k[-1] == n
+    for r, k in enumerate(argmax_k):
+        np.testing.assert_array_equal(prefix_S[r, : k + 2], log_S[r, : k + 2])
+        np.testing.assert_array_equal(prefix_A[r, : k + 2], log_A[r, : k + 2])
+
+
+@pytest.mark.parametrize("n", [7, 64, 600, 3000])
+def test_max_average_batch_rows_equal_single_rows(n):
+    rng = np.random.default_rng([n, 2])
+    log_rows = np.vstack([_path_rows(rng, n), _strong_rows(rng, n)])
+    batch = _max_average_rows(log_rows)
+    for i, row in enumerate(log_rows):
+        argmax_k, log_max, log_S, log_A = _max_average_rows(row[None])
+        k = batch[0][i]
+        assert (argmax_k[0], log_max[0]) == (k, batch[1][i])
+        np.testing.assert_array_equal(log_S[0, : k + 2], batch[2][i, : k + 2])
+        np.testing.assert_array_equal(log_A[0, : k + 2], batch[3][i, : k + 2])
+
+
+@pytest.mark.parametrize("n", [65, 1000, 3000])
+def test_rows_past_the_first_limit_take_larger_limits(n):
+    """A first limit too small for every row (2 columns, where the
+    estimate gives at least 66) only costs more rounds: the results are
+    those of one round at the estimated limit."""
+    rng = np.random.default_rng([n, 3])
+    log_rows = np.vstack([_path_rows(rng, n), _strong_rows(rng, n)])
+    want = _max_average_rows(log_rows)
+    with mock.patch("evalcomb.sympoly._first_columns", return_value=2), mock.patch.object(
+        _esp, "log_esp_rows", wraps=_esp.log_esp_rows
+    ) as kernel:
+        got = _max_average_rows(log_rows)
+    assert kernel.call_count >= 3  # 2, 8 and more columns
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    for r, k in enumerate(want[0]):
+        for g, w in zip(got[2:], want[2:]):
+            np.testing.assert_array_equal(g[r, : k + 2], w[r, : k + 2])
+
+
+@pytest.mark.parametrize("n", [5, 200, 2000, 3000])
+def test_all_ones_have_no_evidence(n):
+    """Every A_k of n ones is exactly 1, and A_1 = n / n is exact in
+    floats, so the first descent is at k = 0.  The full array's
+    np.argmax would pick a rounding bump instead; this is the one input
+    where the two differ."""
+    ev = validate_evalues([1.0] * n)
+    report = test_max_average(ev, 0.999999999999)
+    for averages in (symmetric_averages(ev), report.detail):
+        assert averages.argmax_k == 0
+        assert averages.log_max.log_magnitude == 0.0
+        assert averages.trivial_max
+        assert averages.n == n
+    assert report.log_statistic.log_magnitude == 0.0
+    assert not report.reject
+
+
+def test_report_detail_is_the_prefix_through_the_descent():
+    rng = np.random.default_rng(9)
+    for n, shift in [(10, 0.3), (1000, 0.0), (1000, 0.2), (3000, 2.0)]:
+        ev = validate_evalues(np.exp(rng.standard_normal(n) - 0.5 + shift))
+        whole, detail = symmetric_averages(ev), test_max_average(ev, 0.05).detail
+        k = whole.argmax_k
+        assert (detail.argmax_k, detail.log_max, detail.n) == (k, whole.log_max, n)
+        assert whole.log_S.size == whole.log_A.size == n + 1
+        np.testing.assert_array_equal(detail.log_S, whole.log_S[: k + 2])
+        np.testing.assert_array_equal(detail.log_A, whole.log_A[: k + 2])
 
 
 # ----- mixture -----
