@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -41,10 +42,24 @@ def log_esp_rows(log_rows: np.ndarray, columns: int | None = None) -> np.ndarray
     """log S_0 .. log S_(c - 1), c = min(columns, n + 1), for each row
     of a float (rows, n) matrix of log e-values; see
     :func:`evalcomb.sympoly.log_esp_batch`."""
+    n = log_rows.shape[1]
+    return prefix_sums(log_rows)(n + 1 if columns is None else min(columns, n + 1))
+
+
+def prefix_sums(log_rows: np.ndarray) -> Callable[[int], np.ndarray]:
+    """The sums of :func:`log_esp_rows` as a function of the column
+    limit, at most n + 1, for a search that raises the limit.
+
+    The base blocks and the first fold level run whole, here, once:
+    their sums have degree at most _BASE * _FAN_OUT.  Each call runs
+    only the levels above at its limit, so on the linear-domain path a
+    call's cost beyond that fixed part grows with the square of the
+    limit rather than with n times it.  Rows on the log-domain fallback
+    run their whole recursion at each limit.
+    """
     rows, n = log_rows.shape
-    columns = n + 1 if columns is None else min(columns, n + 1)
     if rows == 0:
-        return np.empty((0, columns))
+        return lambda columns: np.empty((0, columns))
     b0, fans = _layout(n)
     entries = np.zeros((rows, b0 * math.prod(fans)))
     # Entries within 2^+-(h - 1), h as in _base_scales, need no scaling;
@@ -52,18 +67,23 @@ def log_esp_rows(log_rows: np.ndarray, columns: int | None = None) -> np.ndarray
     tame = np.abs(log_rows) <= (_BLOCK_BITS // b0 - 2) * math.log(2.0)
     if n <= _MAX_FAST_N and (tame | (log_rows == LOG_ZERO)).all():
         np.exp(log_rows, out=entries[:, :n])
-        return _fast_esp(entries, None, b0, fans, columns)
+        return _fast_sums(entries, None, b0, fans)
     normal = (log_rows >= _LOG_TINY) & (log_rows <= _LOG_HUGE)
     np.exp(log_rows, out=entries[:, :n], where=normal)
     tau, fast = _base_scales(entries, b0)
     fast &= np.logical_and.reduce(normal | (log_rows == LOG_ZERO), axis=1)
     fast &= n <= _MAX_FAST_N
-    out = np.empty((rows, columns))
-    if not fast.all():
-        out[~fast] = _log_domain_esp(log_rows[~fast], columns)
-    if fast.any():
-        out[fast] = _fast_esp(entries[fast], tau[fast], b0, fans, columns)
-    return out
+    fast_sums = _fast_sums(entries[fast], tau[fast], b0, fans) if fast.any() else None
+
+    def sums(columns: int) -> np.ndarray:
+        out = np.empty((rows, columns))
+        if not fast.all():
+            out[~fast] = _log_domain_esp(log_rows[~fast], columns)
+        if fast_sums is not None:
+            out[fast] = fast_sums(columns)
+        return out
+
+    return sums
 
 
 def _base_scales(entries: np.ndarray, b0: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,9 +106,12 @@ def _base_scales(entries: np.ndarray, b0: int) -> tuple[np.ndarray, np.ndarray]:
     return tau, np.logical_and.reduce(hi - lo <= 2 * h, axis=1)
 
 
-def _fast_esp(entries, tau, b0: int, fans: tuple[int, ...], columns: int) -> np.ndarray:
-    """The linear-domain kernel on rows that pass the range test; tau
-    None means every scale exponent is 0."""
+def _fast_sums(
+    entries, tau, b0: int, fans: tuple[int, ...]
+) -> Callable[[int], np.ndarray]:
+    """The linear-domain kernel on rows that pass the range test, as a
+    function of the column limit (at most n + 1); tau None means every
+    scale exponent is 0."""
     blocks, powers = entries.reshape(-1, b0), None
     if tau is not None:
         tau = tau.reshape(-1, 1)
@@ -102,32 +125,45 @@ def _fast_esp(entries, tau, b0: int, fans: tuple[int, ...], columns: int) -> np.
         np.multiply(lo, column, out=buf)
         np.add(hi, buf, out=hi)
     if not fans:
-        s = s[:, :columns]
         if powers is None:
-            return _log(s)
-        return _log_from_parts(s, powers[:, :columns], 1020 - _BLOCK_BITS)
-    mu, g = np.frexp(s[:, :columns])
+            return lambda columns: _log(s[:, :columns])
+        return lambda columns: _log_from_parts(
+            s[:, :columns], powers[:, :columns], 1020 - _BLOCK_BITS
+        )
+    mu, g = np.frexp(s)
     if powers is not None:
-        g += powers[:, :columns]
+        g += powers
     g[mu == 0] = _ZERO_EXP
+    shape = (-1, fans[0], b0 + 1)
     with np.errstate(under="ignore"):
-        for fan in fans:
-            shape = (-1, fan, mu.shape[1])
-            mu, g = _fold(mu.reshape(shape), g.reshape(shape), columns)
-    return _log_from_parts(mu[:, :columns], g[:, :columns], 1000)
+        mu, g = _fold(mu.reshape(shape), g.reshape(shape))
+
+    def sums(columns: int) -> np.ndarray:
+        m, e = mu[:, :columns], g[:, :columns]
+        with np.errstate(under="ignore"):
+            for fan in fans[1:]:
+                shape = (-1, fan, m.shape[1])
+                m, e = _fold(m.reshape(shape), e.reshape(shape), columns)
+        return _log_from_parts(m[:, :columns], e[:, :columns], 1000)
+
+    return sums
 
 
-def _fold(mu: np.ndarray, g: np.ndarray, columns: int) -> tuple[np.ndarray, np.ndarray]:
+def _fold(
+    mu: np.ndarray, g: np.ndarray, columns: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Sums of each group of blocks from the blocks' sums mu 2^g, an
     exact zero having g = _ZERO_EXP: (groups, fan, d + 1) ->
     (groups, min(fan * d + 1, columns)) mantissas in [1/2, 1) and
-    exponents.
+    exponents; all fan * d + 1 sums when ``columns`` is None.
 
     Block t is applied to the running sums as S'_j = sum_i e_i S_(j-i),
     i = 0..d.  Output column j reads only columns <= j of its inputs, so
     inputs cut to ``columns`` columns give the first ``columns`` sums
     bit for bit: the terms dropped are zeros at the end of each column's
-    sum.  Each term's exponent is taken relative to the largest
+    sum.  The terms with i > j are exact zeros at the end of a column's
+    sum as well, and a slice of columns [lo, hi) leaves out those with
+    i >= hi.  Each term's exponent is taken relative to the largest
     term of its column and ``ldexp`` scales the mantissa by the
     difference, so every term is at most 1 and the largest at least 1/4:
     a column sum neither overflows nor loses a term that matters.  Only
@@ -135,7 +171,7 @@ def _fold(mu: np.ndarray, g: np.ndarray, columns: int) -> tuple[np.ndarray, np.n
     """
     groups, fan, d1 = mu.shape
     d = d1 - 1
-    width = min(fan * d + 1, columns)
+    width = fan * d + 1 if columns is None else min(fan * d + 1, columns)
     # d leading zero columns let every window start at column 0
     M = np.zeros((groups, d + width))
     X = np.full((groups, d + width), _ZERO_EXP, dtype=np.int32)
@@ -152,14 +188,15 @@ def _fold(mu: np.ndarray, g: np.ndarray, columns: int) -> tuple[np.ndarray, np.n
         hi = min((t + 1) * d + 1, width)
         while hi > 0:
             lo = 0 if hi <= step + 1 else hi - step
-            shape = (groups, d1, hi - lo)
-            ex = ebuf[: groups * d1 * (hi - lo)].reshape(shape)
+            i1 = min(d1, hi)  # terms i >= hi read the leading zeros
+            shape = (groups, i1, hi - lo)
+            ex = ebuf[: math.prod(shape)].reshape(shape)
             terms = tbuf[: ex.size].reshape(shape)
-            np.add(Xw[:, :, lo:hi], g[:, t, :, None], out=ex)
+            np.add(Xw[:, :i1, lo:hi], g[:, t, :i1, None], out=ex)
             top = np.maximum.reduce(ex, axis=1)
             np.subtract(ex, top[:, None], out=ex)
-            np.ldexp(Mw[:, :, lo:hi], ex, out=terms)
-            np.multiply(terms, mu[:, t, :, None], out=terms)
+            np.ldexp(Mw[:, :i1, lo:hi], ex, out=terms)
+            np.multiply(terms, mu[:, t, :i1, None], out=terms)
             col = np.add.reduce(terms, axis=1)
             dst = X[:, d + lo : d + hi]
             np.add(top, np.frexp(col, out=(M[:, d + lo : d + hi], dst))[1], out=dst)

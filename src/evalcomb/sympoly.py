@@ -40,11 +40,14 @@ for bit those of the full run.  :func:`evalcomb.testkit.test_max_average`
 and the Monte Carlo drivers run the kernel at a limit a little past an
 estimate of the argmax (n times the betting optimum, which it tracks
 to about one index) and raise the limit for rows that show no descent
-within it; :func:`symmetric_averages` computes every sum and reads its
-maximum by the same first-descent rule.  In floats the rule and
-``np.argmax`` agree except where rounding breaks exact ties: on all-ones
-input every A_k is exactly 1 and the rule gives k = 0, A_1 = n / n
-being exact.
+within it.  The base blocks and the first fold level run whole, once
+per call, and only the levels above them run at each limit, so the
+part of the cost that depends on the data grows with the square of
+the limit, not with n times it.  :func:`symmetric_averages` computes
+every sum and reads its maximum by the same first-descent rule.  In
+floats the rule and ``np.argmax`` agree except where rounding breaks
+exact ties: on all-ones input every A_k is exactly 1 and the rule gives
+k = 0, A_1 = n / n being exact.
 """
 
 from __future__ import annotations
@@ -162,7 +165,7 @@ def _averages(E: EValueVector, full: bool) -> SymmetricAverages:
     )
 
 
-_ESTIMATE_STEP = 32  # columns per step of the argmax estimate
+_ESTIMATE_STEP = 8  # columns per step of the argmax estimate
 
 
 def _max_average_rows(
@@ -179,14 +182,15 @@ def _max_average_rows(
     """
     rows, n = log_rows.shape
     log_C = log_binomials(n)
+    sums = _esp.prefix_sums(log_rows)
     columns = n + 1 if full or n <= _esp._BASE else _first_columns(log_rows)
     while True:
-        log_S = _esp.log_esp_rows(log_rows, columns)
+        log_S = sums(columns)
         log_A = log_S - log_C[:columns]
         argmax_k, log_max = _first_descent(log_A)
         if columns == n + 1 or (argmax_k < columns - 1).all():
             return argmax_k, log_max, log_S, log_A
-        # Past half the sums a limited run costs most of a full one.
+        # Four times the limit, or every sum once that passes half of them.
         columns = 4 * columns if 8 * columns <= n + 1 else n + 1
 
 

@@ -404,11 +404,22 @@ def test_rows_past_the_first_limit_take_larger_limits(n):
     rng = np.random.default_rng([n, 3])
     log_rows = np.vstack([_path_rows(rng, n), _strong_rows(rng, n)])
     want = _max_average_rows(log_rows)
+    prefix_sums, limits = _esp.prefix_sums, []
+
+    def counted(rows):
+        sums = prefix_sums(rows)
+
+        def limited(columns):
+            limits.append(columns)
+            return sums(columns)
+
+        return limited
+
     with mock.patch("evalcomb.sympoly._first_columns", return_value=2), mock.patch.object(
-        _esp, "log_esp_rows", wraps=_esp.log_esp_rows
-    ) as kernel:
+        _esp, "prefix_sums", counted
+    ):
         got = _max_average_rows(log_rows)
-    assert kernel.call_count >= 3  # 2, 8 and more columns
+    assert limits[:2] == [2, 8] and len(limits) >= 3  # 2, 8 and more columns
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
     for r, k in enumerate(want[0]):
