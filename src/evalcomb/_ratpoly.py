@@ -1,5 +1,5 @@
 """Exact decisions on rational e-values: symmetric sums, betting
-polynomials, Sturm chains.
+polynomials, Sturm chains, and closed forms for two-point rows.
 
 Support for the exact enumerator.  Entries a_i / D are brought to one
 common denominator D once; after that every step works on Python ints:
@@ -20,6 +20,22 @@ which is integral, negated and divided by its positive content.
 Positive factors change no sign, so the chain counts roots exactly like
 the rational one, and no fraction is ever formed.
 
+A two-point row, c entries hi = a / D and n - c entries lo = b / D, has
+closed forms that need neither the row nor a chain, and the enumerator
+decides its outcome classes with them:
+
+* its sums e_k are the coefficients of (1 + a z)^c (1 + b z)^(n - c),
+  which follow a three-term recurrence, and by Newton's inequalities
+  the A_k are log-concave, so the scan over k stops at the first k
+  with A_(k+1) <= A_k: no later average is larger;
+* log M(lam) = c log(1 + (hi - 1) lam) + (n - c) log(1 + (lo - 1) lam)
+  is concave with its stationary point at the rational
+  lam* = (c (hi - 1) + (n - c)(lo - 1)) / (n (hi - 1)(1 - lo)), so the
+  supremum is 1, M(1) or M(lam*), each one comparison of integer
+  powers.
+
+The generic deciders stay the oracle for arbitrary rational rows.
+
 Polynomials are dense lists of ints, index = degree of the term; the
 zero polynomial is ``[0]``.  The public functions also take Fraction
 coefficients and values.
@@ -38,6 +54,8 @@ __all__ = [
     "esp_fractions",
     "poly_max_reaches",
     "max_average_reaches",
+    "two_point_max_average_reaches",
+    "two_point_betting_reaches",
 ]
 
 Poly = list[int]
@@ -226,3 +244,75 @@ def poly_max_reaches(values: Sequence[int | Fraction], t: int | Fraction) -> boo
     if shifted[0] >= 0 or sum(shifted) >= 0:  # lam = 0, lam = 1
         return True
     return count_roots_between(shifted, 0, 1) > 0
+
+
+def two_point_max_average_reaches(
+    count: int, n: int, hi: int | Fraction, lo: int | Fraction, t: int | Fraction
+) -> bool:
+    """:func:`max_average_reaches` on the row of ``count`` entries hi and
+    n - count entries lo (nonnegative), without building the row.
+
+    With hi = a / D and lo = b / D, the sums e_k of the integers are the
+    coefficients of G(z) = (1 + a z)^c (1 + b z)^m, m = n - c, that is
+    sum_i C(c, i) C(m, k - i) a^i b^(k - i).  Matching coefficients in
+    (1 + a z)(1 + b z) G' = (c a (1 + b z) + m b (1 + a z)) G gives
+
+        (k + 1) e_(k+1) = (c a + m b - (a + b) k) e_k + a b (n - k + 1) e_(k-1),
+
+    two small-by-large products per step.  A_(k+1) <= A_k is
+    (k + 1) e_(k+1) <= (n - k) D e_k; the A_k are log-concave (Newton),
+    so no average past the first such descent is larger than A_k.
+    """
+    t = _rational(t)
+    (a, b), den = _common_numerators((hi, lo))
+    m = n - count
+    slope, cross = count * a + m * b, a * b
+    previous, current = 0, 1  # e_(k-1), e_k
+    scale = 1  # C(n, k) D^k
+    for k in range(n):
+        if t.denominator * current >= t.numerator * scale:
+            return True
+        scaled = (slope - (a + b) * k) * current + cross * (n - k + 1) * previous
+        bound = (n - k) * den
+        if scaled <= bound * current:  # first descent: A_(k+1) <= A_k
+            return False
+        previous, current = current, scaled // (k + 1)
+        scale = scale * bound // (k + 1)
+    return t.denominator * current >= t.numerator * scale
+
+
+def two_point_betting_reaches(
+    count: int, n: int, hi: int | Fraction, lo: int | Fraction, t: int | Fraction
+) -> bool:
+    """:func:`poly_max_reaches` on the row of ``count`` entries hi and
+    n - count entries lo (nonnegative), without a polynomial or a chain.
+
+    With a = D hi >= b = D lo (swapped if need be), c = count and
+    m = n - count: log M is concave on [0, 1), and D times its slope at
+    0 is s = c (a - D) + m (b - D).  If s <= 0, M never rises above
+    M(0) = 1.  Otherwise M rises up to lam* = D s / (n (a - D)(D - b))
+    when b < D, and all the way when b >= D, so the supremum is
+    M(1) = a^c b^m / D^n when D s >= n (a - D)(D - b), whose right side
+    is at most 0 when b >= D, and else
+
+        M(lam*) = (a - b)^n c^c m^m / (n^n (D - b)^c (a - D)^m),
+
+    where 1 + (hi - 1) lam* = c (a - b) / (n (D - b)) and
+    1 + (lo - 1) lam* = m (a - b) / (n (a - D)).
+    """
+    t = _rational(t)
+    if t <= 1:  # M(0) = 1
+        return True
+    (a, b), den = _common_numerators((hi, lo))
+    if a < b:
+        a, b, count = b, a, n - count
+    m = n - count
+    slope = count * (a - den) + m * (b - den)
+    if slope <= 0:
+        return False
+    if den * slope >= n * (a - den) * (den - b):  # lam* >= 1, or b >= D
+        return t.denominator * a**count * b**m >= t.numerator * den**n
+    return (
+        t.denominator * (a - b) ** n * count**count * m**m
+        >= t.numerator * n**n * (den - b) ** count * (a - den) ** m
+    )

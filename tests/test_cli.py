@@ -704,7 +704,7 @@ class TestEnumerate:
             [
                 "enumerate",
                 "--scenario",
-                "two_point:p=0.5,hi=2,lo=0,n=25",
+                "two_point:p=0.5,hi=2,lo=0,n=10000",
                 "--threshold",
                 "2",
                 "--stat",

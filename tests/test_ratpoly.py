@@ -1,7 +1,9 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
@@ -12,6 +14,8 @@ from evalcomb._ratpoly import (
     max_average_reaches,
     poly_max_reaches,
     sturm_chain,
+    two_point_betting_reaches,
+    two_point_max_average_reaches,
 )
 from evalcomb.betting import optimize_lambda_batch
 from evalcomb.sympoly import log_averages_batch
@@ -269,3 +273,69 @@ def test_float_verdicts_match_exact_verdicts(case):
             _, log_threshold, reject = decide_batch(log_statistic, alpha)
             if abs(log_statistic[0] - log_threshold) > 5e-13:
                 assert bool(reject[0]) == exact_reaches(values, 1 / Fraction(alpha))
+
+
+# ----- closed forms for two-point rows against the generic deciders -----
+
+TWO_POINTS = [F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(8)]
+GRID_THRESHOLDS = [F(-1), F(0), F(1, 2), F(1), F(3, 2), F(2), F(16, 7), F(4), F(10)]
+
+
+def _betting_peak(count: int, n: int, hi: Fraction, lo: Fraction) -> Fraction:
+    """The betting product at its best of 0, 1 and the stationary point
+    of its log, each evaluated as the product of the row's factors."""
+    row = [hi] * count + [lo] * (n - count)
+    bets = [F(0), F(1)]
+    curvature = n * (hi - 1) * (1 - lo)
+    if curvature:
+        bets.append((count * (hi - 1) + (n - count) * (lo - 1)) / curvature)
+    return max(
+        math.prod(1 + (e - 1) * lam for e in row) for lam in bets if 0 <= lam <= 1
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_two_point_deciders_match_the_generic_ones(n):
+    """Every count of every pair of support points (hi == lo, and hi < lo,
+    included) at a grid of thresholds, t <= 1 among them, and at the exact
+    ties: the max average itself and the betting peak, and just above each."""
+    disagreements = []
+    for hi, lo in itertools.product(TWO_POINTS, repeat=2):
+        for count in range(n + 1):
+            row = [hi] * count + [lo] * (n - count)
+            top = max(s / math.comb(n, k) for k, s in enumerate(esp_fractions(row)))
+            peak = _betting_peak(count, n, hi, lo)
+            ties = [top, peak, top + F(1, 10**9), peak + F(1, 10**9)]
+            for t in GRID_THRESHOLDS + ties:
+                for closed, generic in (
+                    (two_point_max_average_reaches, max_average_reaches),
+                    (two_point_betting_reaches, poly_max_reaches),
+                ):
+                    if closed(count, n, hi, lo, t) != generic(row, t):
+                        disagreements.append((closed.__name__, count, hi, lo, t))
+    assert disagreements == []
+
+
+def test_two_point_max_average_stops_at_the_first_descent():
+    # ten 2s and ten 0s: A_k = 2^k C(10, k) / C(20, k) is 1 at k = 0 and
+    # k = 1, and the scan stops at A_2 = 18/19
+    assert two_point_max_average_reaches(10, 20, 2, 0, 1)
+    assert not two_point_max_average_reaches(10, 20, 2, 0, 1 + F(1, 10**12))
+    # all 2s never descend: A_20 = 2^20
+    assert two_point_max_average_reaches(20, 20, 2, 0, 2**20)
+    assert not two_point_max_average_reaches(20, 20, 2, 0, 2**20 + 1)
+
+
+@given(
+    st.fractions(min_value=0, max_value=6, max_denominator=12),
+    st.fractions(min_value=0, max_value=6, max_denominator=12),
+    st.integers(1, 30),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_two_point_deciders_match_on_random_rows(hi, lo, n, data):
+    count = data.draw(st.integers(0, n))
+    t = data.draw(st.fractions(min_value=0, max_value=40, max_denominator=16))
+    row = [hi] * count + [lo] * (n - count)
+    assert two_point_max_average_reaches(count, n, hi, lo, t) == max_average_reaches(row, t)
+    assert two_point_betting_reaches(count, n, hi, lo, t) == poly_max_reaches(row, t)

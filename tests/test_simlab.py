@@ -21,7 +21,6 @@ from evalcomb.simlab import (
     FactorScenario,
     IidLognormal,
     IidTwoPoint,
-    MAX_ENUMERATION_OUTCOMES,
     VILLE_DEFAULT_LAMBDA,
     _BLOCK,
     _batch_verdicts,
@@ -894,11 +893,26 @@ class TestEnumerateExact:
         with pytest.raises(ConfigError):
             enumerate_exact(IidLognormal(1.0, 3), 2, StatKind.MAX_AVERAGE)
 
-    def test_outcome_budget_guard(self):
-        big = two_point_scenario(p=0.5, n=21, lo=0.0, hi=2.0)
-        assert 2**21 > MAX_ENUMERATION_OUTCOMES
-        with pytest.raises(ConfigError):
-            enumerate_exact(big, 2, StatKind.MAX_AVERAGE)
+    def test_outcome_budget_guard(self, monkeypatch):
+        """The budget counts work, not outcomes: 2^400 outcomes enumerate,
+        and a call past the budget is refused before any count law is
+        built."""
+        fits = two_point_scenario(p=0.5, n=400, lo=0.0, hi=2.0)
+        assert 0 < enumerate_exact(fits, 2, StatKind.MAX_AVERAGE) <= Fraction(1, 2)
+
+        def unbuilt(level, n):
+            raise AssertionError("count law built for a refused call")
+
+        monkeypatch.setattr(FactorLevel, "_count_law", unbuilt)
+        for big in (
+            two_point_scenario(p=0.5, n=10_000, lo=0.0, hi=2.0),
+            default_factor_scenario(5_000),
+        ):
+            cost = sum(simlab._enumeration_cost(level, big.n) for level in big.levels)
+            assert cost > simlab._ENUMERATION_BUDGET
+            for kind in (StatKind.MAX_AVERAGE, StatKind.OPTIMIZED_BETTING):
+                with pytest.raises(ConfigError, match="budget"):
+                    enumerate_exact(big, 2, kind)
 
     def test_outcome_budget_guard_does_not_build_two_to_the_n(self):
         """n = 10^30 is refused at once; building 2^n would spin until
@@ -943,6 +957,8 @@ class TestEnumerateExact:
         [
             "two_point:p=0.5,hi=2,lo=0,n=10",
             "two_point:p=0.5,hi=2,lo=0,n=18",
+            "two_point:p=0.5,hi=2,lo=0,n=50",
+            "two_point:p=0.5,hi=2,lo=0,n=200",
             "factor:default,n=8",
             "factor:default,n=12",
         ],
@@ -955,6 +971,20 @@ class TestEnumerateExact:
         s = mc_type1(sc, 0.125, 20_000, seed=14)
         se = math.sqrt(exact * (1 - exact) / 20_000)
         assert abs(s.rejection_rate[kind] - exact) <= 6 * se
+
+    @pytest.mark.parametrize(
+        "kind", [StatKind.MAX_AVERAGE, StatKind.OPTIMIZED_BETTING], ids=lambda k: k.value
+    )
+    @pytest.mark.parametrize("n", [50, 100, 200, 400])
+    @pytest.mark.parametrize("spec", ["two_point:p=0.5,mean=1,lo=0", "factor:default"])
+    def test_exact_type1_at_realistic_n(self, spec, n, kind):
+        """The paper's bound, exactly: on the null two-point law and on the
+        common-factor law (simultaneous e-values) the statistic reaches t
+        with probability at most 1/t.  All entries at hi reach it, so the
+        probability is not 0."""
+        sc = parse_scenario(f"{spec},n={n}")
+        for t in (2, 20):
+            assert 0 < enumerate_exact(sc, t, kind) <= Fraction(1, t)
 
 
 def _full_scan(level, n, t, kind):
@@ -998,9 +1028,9 @@ class TestClassBisection:
         decided = []
         reject = simlab._reject_exact
 
-        def counting(values, threshold, kind):
-            decided.append(len(values))
-            return reject(values, threshold, kind)
+        def counting(count, n, hi, lo, threshold, kind):
+            decided.append(count)
+            return reject(count, n, hi, lo, threshold, kind)
 
         monkeypatch.setattr(simlab, "_reject_exact", counting)
         sc = two_point_scenario(p=0.5, n=18, lo=0.0, hi=2.0)
