@@ -38,17 +38,11 @@ def _layout(n: int) -> tuple[int, tuple[int, ...]]:
     return b0, (_FAN_OUT,) * (levels - 1) + (top,) * (levels > 0)
 
 
-def log_esp_rows(log_rows: np.ndarray, columns: int | None = None) -> np.ndarray:
-    """log S_0 .. log S_(c - 1), c = min(columns, n + 1), for each row
-    of a float (rows, n) matrix of log e-values; see
-    :func:`evalcomb.sympoly.log_esp_batch`."""
-    n = log_rows.shape[1]
-    return prefix_sums(log_rows)(n + 1 if columns is None else min(columns, n + 1))
-
-
 def prefix_sums(log_rows: np.ndarray) -> Callable[[int], np.ndarray]:
-    """The sums of :func:`log_esp_rows` as a function of the column
-    limit, at most n + 1, for a search that raises the limit.
+    """log S_0 .. log S_(c - 1) for each row of a float (rows, n) matrix
+    of log e-values, as a function of the column limit c <= n + 1: the
+    whole of :func:`evalcomb.sympoly.log_esp_batch` at c = n + 1, and a
+    prefix of it for a search that raises the limit.
 
     The base blocks and the first fold level run whole, here, once:
     their sums have degree at most _BASE * _FAN_OUT.  Each call runs

@@ -57,7 +57,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TypeVar, Union
 
 import numpy as np
@@ -140,7 +140,7 @@ class IidTwoPoint:
 
     The extremal null family: with lo = 0 and hi = 1/p the law has mean
     exactly 1 with all of its mass budget on one atom, which stresses
-    the tail bounds hardest.  ``is_null`` is derived from the mean.
+    the tail bounds hardest.  ``is_null`` is derived from the exact mean.
     Sampling and enumeration treat it as a factor scenario with the
     single level ``levels[0]``.
     """
@@ -165,9 +165,9 @@ class IidTwoPoint:
     def mean(self) -> float:
         return self.p * self.hi + (1.0 - self.p) * self.lo
 
-    @property
+    @cached_property
     def is_null(self) -> bool:
-        return self.mean <= 1.0
+        return _mean_at_most_one(self)
 
 
 def two_point_scenario(
@@ -179,10 +179,12 @@ def two_point_scenario(
 ) -> IidTwoPoint:
     """Build a two-point scenario from either hi or a target mean.
 
-    Given a target mean, the upper support point is solved from
-    p * hi + (1-p) * lo = mean.  Supplying both hi and mean is allowed
-    only when they agree.  The values are kept as given, so Fraction
-    arguments stay exact for :func:`enumerate_exact`.
+    Given a target mean, hi is the Fraction that solves
+    p * hi + (1-p) * lo = mean, each float read through its shortest
+    decimal as :func:`enumerate_exact` reads it, so the law it
+    enumerates has exactly that mean.  Supplying both hi and mean is
+    allowed only when they agree.  The values are kept as given, so
+    Fraction arguments stay exact for :func:`enumerate_exact`.
     """
     _check_prob("p", p)
     _check_support_point("lo", lo)
@@ -191,10 +193,11 @@ def two_point_scenario(
     if hi is not None:
         _check_support_point("hi", hi)
     if mean is not None:
-        _checked_number("mean", mean)
+        _check_support_point("mean", mean)
         if p == 0:
             raise ConfigError("cannot derive hi from mean when p = 0")
-        derived = (mean - (1 - p) * lo) / p
+        exact_p, exact_lo = _decimal_fraction(p), _decimal_fraction(lo)
+        derived = (_decimal_fraction(mean) - (1 - exact_p) * exact_lo) / exact_p
         if derived < 0:
             raise ConfigError(
                 f"mean {mean} is not reachable with p={p}, lo={lo}"
@@ -294,9 +297,18 @@ class FactorScenario:
     def mean(self) -> float:
         return sum(level.prob * level.conditional_mean for level in self.levels)
 
-    @property
+    @cached_property
     def is_null(self) -> bool:
-        return all(level.conditional_mean <= 1.0 for level in self.levels)
+        return all(map(_mean_at_most_one, self.levels))
+
+
+def _mean_at_most_one(law: IidTwoPoint | FactorLevel) -> bool:
+    """Whether p hi + (1 - p) lo <= 1, decided in rationals from the
+    parameters as :func:`enumerate_exact` reads them, so that a law
+    called null is null in the enumeration too.  Scenarios cache it:
+    the rationals cost more than a float test."""
+    p, hi, lo = map(_decimal_fraction, (law.p, law.hi, law.lo))
+    return p * hi + (1 - p) * lo <= 1
 
 
 def default_factor_scenario(n: int) -> FactorScenario:

@@ -37,27 +37,32 @@ the maximum is A_k at the first such k (n when there is none).  The
 kernel takes a column limit, and in each fold output column j reads
 only input columns <= j, so the first c sums of a limited run are bit
 for bit those of the full run.  :func:`evalcomb.testkit.test_max_average`
-and the Monte Carlo drivers run the kernel at a limit a little past an
-estimate of the argmax (n times the betting optimum, which it tracks
-to about one index) and raise the limit for rows that show no descent
-within it.  The base blocks and the first fold level run whole, once
-per call, and only the levels above them run at each limit, so the
-part of the cost that depends on the data grows with the square of
-the limit, not with n times it.  :func:`symmetric_averages` computes
-every sum and reads its maximum by the same first-descent rule.  In
-floats the rule and ``np.argmax`` agree except where rounding breaks
-exact ties: on all-ones input every A_k is exactly 1 and the rule gives
-k = 0, A_1 = n / n being exact.
+and the Monte Carlo drivers run the kernel at a limit a few columns
+past n lambda*, for lambda* the largest betting optimum over the rows
+from :func:`evalcomb.betting.optimize_lambda_batch`: the betting
+product M_n(lambda) = sum_k C(n, k) lambda^k (1 - lambda)^(n - k) A_k
+weighs the A_k binomially around n lambda, and the argmax tracks
+n lambda* to about one index.  Rows that show no descent within a
+limit take a four times larger one.  The base blocks and the first
+fold level run whole, once per call, and only the levels above them
+run at each limit, so the part of the cost that depends on the data
+grows with the square of the limit, not with n times it.
+:func:`symmetric_averages` computes every sum and reads its maximum
+by the same first-descent rule.  In floats the rule and ``np.argmax``
+agree except where rounding breaks exact ties: on all-ones input every
+A_k is exactly 1 and the rule gives k = 0, A_1 = n / n being exact.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _esp
+from .betting import optimize_lambda_batch
 from .core import EValueVector, LogValue, _checked_rows
 from .errors import ConfigError
 
@@ -85,7 +90,8 @@ def log_esp_batch(log_rows: np.ndarray) -> np.ndarray:
     kernel and the others the log-domain recursion (module docstring).
     Rows never mix, so a row's result does not depend on the others.
     """
-    return _esp.log_esp_rows(_checked_rows(log_rows))
+    log_rows = _checked_rows(log_rows)
+    return _esp.prefix_sums(log_rows)(log_rows.shape[1] + 1)
 
 
 @functools.lru_cache(maxsize=16)
@@ -165,7 +171,7 @@ def _averages(E: EValueVector, full: bool) -> SymmetricAverages:
     )
 
 
-_ESTIMATE_STEP = 8  # columns per step of the argmax estimate
+_MARGIN = 10  # columns of the first limit past n lambda*
 
 
 def _max_average_rows(
@@ -183,7 +189,12 @@ def _max_average_rows(
     rows, n = log_rows.shape
     log_C = log_binomials(n)
     sums = _esp.prefix_sums(log_rows)
-    columns = n + 1 if full or n <= _esp._BASE else _first_columns(log_rows)
+    columns = n + 1
+    if not full and n > _esp._BASE:
+        # A row with an infinite entry has its maximum at k <= 1.
+        best = optimize_lambda_batch(log_rows)
+        lam = np.where(best.infinite_evidence, 0.0, best.lambda_star).max(initial=0.0)
+        columns = min(n + 1, math.ceil(n * lam) + _MARGIN)
     while True:
         log_S = sums(columns)
         log_A = log_S - log_C[:columns]
@@ -204,32 +215,3 @@ def _first_descent(log_A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = descent.argmax(axis=1)
     return k, log_A[np.arange(rows), k]
 
-
-def _first_columns(log_rows: np.ndarray) -> int:
-    """The column limit the search starts at: m + _ESTIMATE_STEP + 2
-    columns, which show a first descent at any k <= m + _ESTIMATE_STEP,
-    for m the largest over the rows of the smallest multiple of
-    _ESTIMATE_STEP, at least one, with f(m / n) <= 0; at most n + 1.
-
-    f(lambda) = sum_i (E_i - 1) / (1 + lambda (E_i - 1)) is the
-    derivative of the log betting product, so it decreases and n lambda*
-    <= m at its root lambda*.  On lognormal rows at n = 1000-3000 the
-    argmax of the A_k sat within two indices of n lambda*.  The limit
-    only sets the cost: rows with no descent within it take the next.
-    """
-    rows, n = log_rows.shape
-    x, terms = np.expm1(log_rows), np.empty_like(log_rows)
-    lo, hi = np.ones(rows, dtype=np.intp), np.full(rows, -(-n // _ESTIMATE_STEP))
-    mid = lo  # one step first: most rows without evidence stop there
-    with np.errstate(all="ignore"):
-        while (lo < hi).any():
-            lam = np.minimum(mid * (_ESTIMATE_STEP / n), 1.0)[:, None]
-            np.multiply(lam, x, out=terms)
-            terms += 1.0
-            np.divide(x, terms, out=terms)
-            # NaN, from an inf entry, reads as "not above": S_1 = inf
-            # is the maximum there.
-            up = np.add.reduce(terms, axis=1) > 0
-            lo, hi = np.where(up, mid + 1, lo), np.where(up, hi, mid)
-            mid = (lo + hi) // 2
-    return min(n + 1, (int(hi.max(initial=1)) + 1) * _ESTIMATE_STEP + 2)

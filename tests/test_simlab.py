@@ -97,6 +97,31 @@ class TestScenarios:
         with pytest.raises(ConfigError):
             two_point_scenario(p=0.0, n=3, mean=1.0)
 
+    @pytest.mark.parametrize("p, lo", [(0.3, 0.0), (0.7, 0.0), (0.15, 0.0), (0.3, 0.2)])
+    def test_mean_gives_an_exactly_null_law(self, p, lo):
+        """hi solved from mean=1 in rationals: the law the enumerator
+        reads has mean exactly 1, and its exact type-I probability at
+        threshold 20 is at most 1/20.  A float hi, 3.3333333333333335
+        at p = 0.3, gave a mean just above 1."""
+        sc = two_point_scenario(p=p, n=40, lo=lo, mean=1.0)
+        exact_p, exact_hi, exact_lo = map(simlab._decimal_fraction, (sc.p, sc.hi, sc.lo))
+        assert exact_p * exact_hi + (1 - exact_p) * exact_lo == 1
+        assert sc.is_null
+        for kind in ("max_average", "optimized_betting"):
+            assert enumerate_exact(sc, 20, kind) <= Fraction(1, 20)
+
+    def test_null_reading_is_exact(self):
+        """is_null reads the exact mean: every mean=1 law on a grid of p
+        is null, and a float hi just above 1/p is not, for a two-point
+        law and for a factor level."""
+        for p in np.arange(1, 400) / 400:
+            for lo in (0.0, 0.3, 0.9):
+                assert two_point_scenario(p=float(p), n=3, lo=lo, mean=1.0).is_null, (p, lo)
+        assert not IidTwoPoint(p=0.3, hi=3.3333333333333335, lo=0.0, n=3).is_null
+        assert IidTwoPoint(p=0.125, hi=8.0, lo=0.0, n=3).is_null
+        assert not FactorScenario((FactorLevel(1.0, 0.3, 3.3333333333333335, 0.0),), 3).is_null
+        assert default_factor_scenario(8).is_null
+
     def test_alternative_is_not_null(self):
         sc = two_point_scenario(p=0.5, n=20, lo=0.0, mean=1.2)
         assert not sc.is_null
@@ -628,7 +653,7 @@ def _where_rows(scenario, rng, rows):
         cumulative = np.cumsum([level.prob for level in levels])
         pick = np.searchsorted(cumulative, u[:, :1], side="right")
         pick = np.minimum(pick, len(levels) - 1)
-        p, hi, lo = np.array([(lv.p, lv.hi, lv.lo) for lv in levels]).T
+        p, hi, lo = np.array([(lv.p, lv.hi, lv.lo) for lv in levels], dtype=float).T
         return np.where(u[:, 1:] < p[pick], np.log(hi)[pick], np.log(lo)[pick])
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -10,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from evalcomb import _esp
 from evalcomb._ratpoly import esp_fractions
-from evalcomb.betting import log_wealth
+from evalcomb.betting import log_wealth, optimize_lambda_batch
 from evalcomb.core import LOG_INF, LOG_ZERO, validate_evalues
 from evalcomb.errors import ValidationError
 from evalcomb.sympoly import (
+    _MARGIN,
     _max_average_rows,
     log_averages_batch,
     log_binomials,
@@ -344,14 +346,14 @@ def test_column_limit_gives_the_prefix_of_the_full_kernel(n):
     ``_limits``, and on every path alone and in a mixed batch at a
     sample of them."""
     log_rows = _path_rows(np.random.default_rng(n), n)
-    full = _esp.log_esp_rows(log_rows)
+    full = _esp.prefix_sums(log_rows)(n + 1)
     limits = _limits(n)
     for c in limits:
-        np.testing.assert_array_equal(_esp.log_esp_rows(log_rows[::2][:2], c), full[::2][:2, :c])
+        np.testing.assert_array_equal(_esp.prefix_sums(log_rows[::2][:2])(c), full[::2][:2, :c])
     for c in limits[:: max(1, len(limits) // 6)] + [n + 1]:
-        np.testing.assert_array_equal(_esp.log_esp_rows(log_rows, c), full[:, :c])
+        np.testing.assert_array_equal(_esp.prefix_sums(log_rows)(c), full[:, :c])
         for row, want in zip(log_rows, full):
-            np.testing.assert_array_equal(_esp.log_esp_rows(row[None], c)[0], want[:c])
+            np.testing.assert_array_equal(_esp.prefix_sums(row[None])(c)[0], want[:c])
     if n == 3000:  # the paths the rows are meant to take
         fallback = [_takes_fallback(np.exp(row)) for row in log_rows]
         assert fallback == [False, True, False, True, True, True, True]
@@ -396,14 +398,10 @@ def test_max_average_batch_rows_equal_single_rows(n):
         np.testing.assert_array_equal(log_A[0, : k + 2], batch[3][i, : k + 2])
 
 
-@pytest.mark.parametrize("n", [65, 1000, 3000])
-def test_rows_past_the_first_limit_take_larger_limits(n):
-    """A first limit too small for every row (2 columns, where the
-    estimate gives at least 66) only costs more rounds: the results are
-    those of one round at the estimated limit."""
-    rng = np.random.default_rng([n, 3])
-    log_rows = np.vstack([_path_rows(rng, n), _strong_rows(rng, n)])
-    want = _max_average_rows(log_rows)
+@contextlib.contextmanager
+def _counted_limits():
+    """The column limits the search runs at, through a wrapper of
+    ``_esp.prefix_sums``."""
     prefix_sums, limits = _esp.prefix_sums, []
 
     def counted(rows):
@@ -415,11 +413,53 @@ def test_rows_past_the_first_limit_take_larger_limits(n):
 
         return limited
 
-    with mock.patch("evalcomb.sympoly._first_columns", return_value=2), mock.patch.object(
-        _esp, "prefix_sums", counted
-    ):
+    with mock.patch.object(_esp, "prefix_sums", counted):
+        yield limits
+
+
+@pytest.mark.parametrize("n", [65, 1000, 3000])
+def test_first_limit_from_the_betting_optimum(n):
+    """The first limit, ceil(n lambda*) + _MARGIN columns, is one round
+    for a null row, a row with an inf entry (lambda* counts as 0, and
+    its maximum sits at k = 1), all twos (lambda* = 1: every sum at
+    once) and the strong rows, whose maximum sits at n / 2 or beyond."""
+    rng = np.random.default_rng([n, 4])
+    null = rng.standard_normal(n) * 0.5 - 0.125
+    with_inf = np.where(np.arange(n) == n // 2, math.inf, rng.standard_normal(n))
+    cases = [(null, None), (with_inf, _MARGIN), (np.full(n, math.log(2.0)), n + 1)]
+    cases += [(row, None) for row in _strong_rows(rng, n)]
+    for row, first in cases:
+        with _counted_limits() as limits:
+            argmax_k, log_max, log_S, log_A = _max_average_rows(row[None])
+        assert len(limits) == 1, limits
+        assert argmax_k[0] < limits[0] - 1 or limits[0] == n + 1
+        if first == _MARGIN:
+            assert limits[0] <= _MARGIN and argmax_k[0] == 1
+        elif first is not None:
+            assert limits == [first] and argmax_k[0] == n
+        np.testing.assert_array_equal(log_A[0], log_averages_batch(row[None])[1][0, : limits[0]])
+
+
+@pytest.mark.parametrize("n", [65, 1000, 3000])
+def test_rows_past_the_first_limit_take_larger_limits(n):
+    """A first limit too small for most rows (the optimum read as
+    lambda* = 0 for every row, so _MARGIN columns) only costs more
+    rounds, each four times the last until every sum is run: the
+    results are those of one round at the limit from the true optimum."""
+    rng = np.random.default_rng([n, 3])
+    log_rows = np.vstack([_path_rows(rng, n), _strong_rows(rng, n)])
+    want = _max_average_rows(log_rows)
+
+    def at_zero(rows):
+        best = optimize_lambda_batch(rows)
+        return dataclasses.replace(best, lambda_star=np.zeros_like(best.lambda_star))
+
+    with mock.patch("evalcomb.sympoly.optimize_lambda_batch", at_zero), _counted_limits() as limits:
         got = _max_average_rows(log_rows)
-    assert limits[:2] == [2, 8] and len(limits) >= 3  # 2, 8 and more columns
+    assert limits[0] == _MARGIN and limits[-1] == n + 1 and len(limits) >= 2
+    for before, after in zip(limits, limits[1:-1]):
+        assert after == 4 * before
+    assert 8 * limits[-2] > n + 1
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
     for r, k in enumerate(want[0]):
