@@ -1,9 +1,8 @@
 """The kernel behind :func:`evalcomb.sympoly.log_esp_batch`.
 
 Elementary symmetric sums in linear domain, a float mantissa and a
-binary exponent per (row, column), with the log-domain recursion as the
-fallback for rows outside the range test; the sympoly module docstring
-describes the method.
+binary exponent per (row, column), for every row of log e-values; the
+sympoly module docstring describes the method.
 """
 
 from __future__ import annotations
@@ -15,23 +14,24 @@ from collections.abc import Callable
 import numpy as np
 
 from .core import LOG_INF, LOG_ZERO
+from .errors import ValidationError
 
 _BASE, _FAN_OUT = 64, 8  # most entries in a base block; blocks per fold
 _BLOCK_BITS = 1000  # bound on |log2| of a base block's scaled sums
-_MAX_FAST_N = 1 << 17  # keeps every int32 exponent far from overflow
-_ZERO_EXP = -(1 << 29)  # exponent of an exact zero, below any real one
-_NO_EXP = 1 << 20  # beyond every binary exponent of a float
+# Binary exponents are int32 while n (2 + max |exponent of an entry|) <= 2^27, else
+# int64 up to 2^59; a zero's is -4 times that: below all, and sums of two stay in range.
+_EXP_BUDGET = {np.int32: 1 << 27, np.int64: 1 << 59}
 _CELLS = 1 << 14  # terms per slice of a fold: fixed cost per numpy call
 _LOG_TINY, _LOG_HUGE = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
 _LN2_HI, _LN2_LO = float.fromhex("0x1.62e42fp-1"), 2.7897668087737545e-08
 
 
 @functools.lru_cache(maxsize=128)
-def _layout(n: int) -> tuple[int, tuple[int, ...]]:
-    """Base block size b0 <= _BASE and the fan-out of each fold level,
+def _layout(n: int, base: int) -> tuple[int, tuple[int, ...]]:
+    """Base block size b0 <= base and the fan-out of each fold level,
     bottom up, with b0 * prod(fans) >= n."""
     levels = 0
-    while _BASE * _FAN_OUT**levels < n:
+    while base * _FAN_OUT**levels < n:
         levels += 1
     b0 = max(1, -(-n // _FAN_OUT**levels))
     top = -(-n // (b0 * _FAN_OUT ** max(levels - 1, 0)))
@@ -46,71 +46,102 @@ def prefix_sums(log_rows: np.ndarray) -> Callable[[int], np.ndarray]:
 
     The base blocks and the first fold level run whole, here, once:
     their sums have degree at most _BASE * _FAN_OUT.  Each call runs
-    only the levels above at its limit, so on the linear-domain path a
-    call's cost beyond that fixed part grows with the square of the
-    limit rather than with n times it.  Rows on the log-domain fallback
-    run their whole recursion at each limit.
+    only the levels above at its limit, so a call's cost beyond that
+    fixed part grows with the square of the limit rather than with n
+    times it.  Rows that fail the range test of :func:`_base_scales` run
+    in blocks of one entry, and rows with an ``inf`` take a closed form.
     """
     rows, n = log_rows.shape
     if rows == 0:
         return lambda columns: np.empty((0, columns))
-    b0, fans = _layout(n)
-    entries = np.zeros((rows, b0 * math.prod(fans)))
+    b0, fans = _layout(n, _BASE)
     # Entries within 2^+-(h - 1), h as in _base_scales, need no scaling;
     # skipping the scale computation halves the time at n = 8.
-    tame = np.abs(log_rows) <= (_BLOCK_BITS // b0 - 2) * math.log(2.0)
-    if n <= _MAX_FAST_N and (tame | (log_rows == LOG_ZERO)).all():
+    tame = (np.abs(log_rows) <= (_BLOCK_BITS // b0 - 2) * math.log(2.0)) | (log_rows == LOG_ZERO)
+    if n * (_BLOCK_BITS // b0 + 1) <= _EXP_BUDGET[np.int32] and tame.all():
+        entries = np.zeros((rows, b0 * math.prod(fans)))
         np.exp(log_rows, out=entries[:, :n])
-        return _fast_sums(entries, None, b0, fans)
-    normal = (log_rows >= _LOG_TINY) & (log_rows <= _LOG_HUGE)
-    np.exp(log_rows, out=entries[:, :n], where=normal)
-    tau, fast = _base_scales(entries, b0)
-    fast &= np.logical_and.reduce(normal | (log_rows == LOG_ZERO), axis=1)
-    fast &= n <= _MAX_FAST_N
-    fast_sums = _fast_sums(entries[fast], tau[fast], b0, fans) if fast.any() else None
+        return _fast_sums(entries, None, None, b0, fans)
+    parts = []  # (rows, their sums as a function of the column limit)
+    infinite = np.logical_or.reduce(log_rows == LOG_INF, axis=1)
+    if infinite.any():
+        # S_k = inf for 1 <= k <= the count of nonzero entries, and 0 above,
+        # where every product has a zero factor (0 * inf = 0).
+        nonzero = np.count_nonzero(log_rows[infinite] != LOG_ZERO, axis=1)
+        closed = np.where(np.arange(n + 1) <= nonzero[:, None], LOG_INF, LOG_ZERO)
+        closed[:, 0] = 0.0
+        parts.append((infinite, lambda columns: closed[:, :columns]))
+    finite, ones = np.flatnonzero(~infinite), _layout(n, 1)[1]
+    m, x = _split(log_rows[finite], max(b0 * math.prod(fans), math.prod(ones)))
+    tau, fast = _base_scales(x[:, : b0 * math.prod(fans)], b0)
+    if fast.any():
+        parts.append((finite[fast], _fast_sums(m[fast], x[fast], tau[fast], b0, fans)))
+    if not fast.all():
+        tau = _base_scales(x[~fast, : math.prod(ones)], 1)[0]
+        parts.append((finite[~fast], _fast_sums(m[~fast], x[~fast], tau, 1, ones)))
 
     def sums(columns: int) -> np.ndarray:
         out = np.empty((rows, columns))
-        if not fast.all():
-            out[~fast] = _log_domain_esp(log_rows[~fast], columns)
-        if fast_sums is not None:
-            out[fast] = fast_sums(columns)
+        for chosen, part in parts:
+            out[chosen] = part(columns)
         return out
 
-    return sums
+    return parts[0][1] if len(parts) == 1 else sums
 
 
-def _base_scales(entries: np.ndarray, b0: int) -> tuple[np.ndarray, np.ndarray]:
+def _split(logs: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mantissa m in [1/2, 1) and binary exponent x, int32 or int64 by
+    _EXP_BUDGET, of each entry E = m 2^x of a (rows, n) matrix of logs of
+    finite e-values, padded with zeros to ``width`` columns.  Normal
+    floats take both from frexp(exp(log E)), the others from the log."""
+    rows, n = logs.shape
+    zero = logs == LOG_ZERO
+    largest = float(np.abs(logs).max(where=~zero, initial=0.0))
+    need = n * (largest / math.log(2.0) + 3)
+    if need > _EXP_BUDGET[np.int64]:
+        raise ValidationError(f"log e-values of magnitude {largest:.6g} are too large for n = {n}")
+    dtype = np.int32 if need <= _EXP_BUDGET[np.int32] else np.int64
+    m, x = np.zeros((rows, width)), np.full((rows, width), -4 * _EXP_BUDGET[dtype], dtype)
+    m_n, x_n = m[:, :n], x[:, :n]
+    normal = (logs >= _LOG_TINY) & (logs <= _LOG_HUGE)
+    np.frexp(np.exp(logs, out=None, where=normal), out=(m_n, x_n), where=normal)
+    other = ~(normal | zero)
+    # E = 2^k e^r, k = floor(log E / ln 2); k * _LN2_HI is exact while |k| < 2^28
+    k = np.floor(logs[other] / math.log(2.0))
+    m_n[other], e = np.frexp(np.exp((logs[other] - k * _LN2_HI) - k * _LN2_LO))
+    x_n[other] = k.astype(dtype) + e
+    return m, x
+
+
+def _base_scales(x: np.ndarray, b0: int) -> tuple[np.ndarray, np.ndarray]:
     """Each base block's scale exponent tau, (rows, blocks), and which
-    rows pass the range test.
+    rows pass the range test, from the entries' binary exponents x.
 
-    With x the binary exponents of a block's nonzero entries and
-    h = _BLOCK_BITS // b0 - 1, tau is the value nearest 0 that puts
-    every x - tau in [-h, h]; it exists when max x - min x <= 2h.  Then
-    every scaled entry E 2^-tau lies in [2^-(h+1), 2^h), every product
-    of up to b0 of them in [2^-b0(h+1), 2^b0h) and every sum of them
-    below 2^b0(h+1) <= 2^_BLOCK_BITS: all are normal floats.
+    With h = _BLOCK_BITS // b0 - 1, tau is the value nearest 0 that puts
+    every x - tau of a block's nonzero entries in [-h, h]; it exists when
+    max x - min x <= 2h, always so at b0 = 1.  Then every scaled entry
+    E 2^-tau lies in [2^-(h+1), 2^h), every product of up to b0 of them
+    in [2^-b0(h+1), 2^b0h) and every sum of them below
+    2^b0(h+1) <= 2^_BLOCK_BITS: all are normal floats.
     """
     h = _BLOCK_BITS // b0 - 1
-    x = np.frexp(entries)[1].reshape(entries.shape[0], -1, b0)
-    zero = (entries == 0).reshape(x.shape)
-    hi = np.maximum.reduce(np.where(zero, -_NO_EXP, x), axis=2)
-    lo = np.minimum.reduce(np.where(zero, _NO_EXP, x), axis=2)
+    x = x.reshape(x.shape[0], x.shape[1] // b0, b0)
+    zero = -4 * _EXP_BUDGET[x.dtype.type]
+    hi = np.maximum.reduce(x, axis=2)
+    lo = np.minimum.reduce(np.where(x == zero, -zero, x), axis=2)
     tau = np.minimum(np.maximum(hi - h, 0), lo + h)
     return tau, np.logical_and.reduce(hi - lo <= 2 * h, axis=1)
 
 
-def _fast_sums(
-    entries, tau, b0: int, fans: tuple[int, ...]
-) -> Callable[[int], np.ndarray]:
-    """The linear-domain kernel on rows that pass the range test, as a
-    function of the column limit (at most n + 1); tau None means every
-    scale exponent is 0."""
-    blocks, powers = entries.reshape(-1, b0), None
+def _fast_sums(m, x, tau, b0: int, fans: tuple[int, ...]) -> Callable[[int], np.ndarray]:
+    """The linear-domain kernel as a function of the column limit (at
+    most n + 1), on the entries m 2^x with the entries of base block t
+    scaled by 2^-tau_t; x and tau None mean plain entries m."""
+    blocks, powers = m[:, : b0 * math.prod(fans)], None
     if tau is not None:
-        tau = tau.reshape(-1, 1)
-        blocks = np.ldexp(blocks, -tau)
-        powers = tau * np.arange(b0 + 1, dtype=np.int32)  # s_j is S_j 2^-powers_j
+        blocks = np.ldexp(blocks, x[:, : blocks.shape[1]] - np.repeat(tau, b0, axis=1))
+        powers = tau.reshape(-1, 1) * np.arange(b0 + 1, dtype=tau.dtype)  # s_j is S_j 2^-powers_j
+    blocks = blocks.reshape(-1, b0)
     s = np.zeros((blocks.shape[0], b0 + 1))
     s[:, 0] = 1.0
     lo, hi, buf = s[:, :b0], s[:, 1:], np.empty_like(blocks)
@@ -121,13 +152,11 @@ def _fast_sums(
     if not fans:
         if powers is None:
             return lambda columns: _log(s[:, :columns])
-        return lambda columns: _log_from_parts(
-            s[:, :columns], powers[:, :columns], 1020 - _BLOCK_BITS
-        )
+        near = 1020 - _BLOCK_BITS
+        return lambda columns: _log_from_parts(s[:, :columns], powers[:, :columns], near)
     mu, g = np.frexp(s)
-    if powers is not None:
-        g += powers
-    g[mu == 0] = _ZERO_EXP
+    g = g if powers is None else g + powers
+    g[mu == 0] = -4 * _EXP_BUDGET[g.dtype.type]
     shape = (-1, fans[0], b0 + 1)
     with np.errstate(under="ignore"):
         mu, g = _fold(mu.reshape(shape), g.reshape(shape))
@@ -147,7 +176,7 @@ def _fold(
     mu: np.ndarray, g: np.ndarray, columns: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sums of each group of blocks from the blocks' sums mu 2^g, an
-    exact zero having g = _ZERO_EXP: (groups, fan, d + 1) ->
+    exact zero having the zero exponent: (groups, fan, d + 1) ->
     (groups, min(fan * d + 1, columns)) mantissas in [1/2, 1) and
     exponents; all fan * d + 1 sums when ``columns`` is None.
 
@@ -166,16 +195,18 @@ def _fold(
     groups, fan, d1 = mu.shape
     d = d1 - 1
     width = fan * d + 1 if columns is None else min(fan * d + 1, columns)
+    zero = -4 * _EXP_BUDGET[g.dtype.type]
     # d leading zero columns let every window start at column 0
     M = np.zeros((groups, d + width))
-    X = np.full((groups, d + width), _ZERO_EXP, dtype=np.int32)
+    X = np.full((groups, d + width), zero, dtype=g.dtype)
     M[:, d : d + d1], X[:, d : d + d1] = mu[:, 0], g[:, 0]
     # window[r, i, j] = column j - i
     Mw = np.ndarray((groups, d1, width), M.dtype, M, d * 8, (M.strides[0], -8, 8))
-    Xw = np.ndarray((groups, d1, width), X.dtype, X, d * 4, (X.strides[0], -4, 4))
+    w = X.itemsize
+    Xw = np.ndarray((groups, d1, width), X.dtype, X, d * w, (X.strides[0], -w, w))
     step = max(2, _CELLS // (groups * d1))
     cells = groups * d1 * min(step + 1, width)
-    ebuf, tbuf = np.empty(cells, dtype=np.int32), np.empty(cells)
+    ebuf, tbuf = np.empty(cells, dtype=X.dtype), np.empty(cells)
     for t in range(1, fan):
         # Columns go high to low, so each slice reads only columns the
         # block has not updated yet; no slice is one column wide.
@@ -194,7 +225,7 @@ def _fold(
             col = np.add.reduce(terms, axis=1)
             dst = X[:, d + lo : d + hi]
             np.add(top, np.frexp(col, out=(M[:, d + lo : d + hi], dst))[1], out=dst)
-            np.copyto(dst, _ZERO_EXP, where=col == 0)
+            np.copyto(dst, zero, where=col == 0)
             hi = lo
     return M[:, d:], X[:, d:]
 
@@ -213,28 +244,7 @@ def _log_from_parts(M: np.ndarray, X: np.ndarray, near: int) -> np.ndarray:
     logs = _log(np.ldexp(M, clipped))
     far = X - clipped
     if far.any():
-        # far * _LN2_HI is exact: _LN2_HI has 25 significant bits
+        # far * _LN2_HI is exact while |far| < 2^28: 25 significant bits
         logs += far * _LN2_LO
         logs += far * _LN2_HI
     return logs
-
-
-def _log_domain_esp(log_rows: np.ndarray, columns: int | None = None) -> np.ndarray:
-    """The fallback: the same one-pass recursion with a log-sum-exp per
-    cell, over the first ``columns`` (default n + 1) sums.  The NaN
-    patch applies the 0 * inf == 0 rule: IEEE turns those products (-inf
-    plus +inf) into NaN, and the convention says zero."""
-    rows, n = log_rows.shape
-    columns = n + 1 if columns is None else columns
-    s = np.full((rows, columns), LOG_ZERO)
-    s[:, 0] = 0.0
-    buf = np.empty((rows, columns - 1))
-    lo, hi = s[:, :-1], s[:, 1:]
-    patch_products = bool((log_rows == LOG_INF).any())
-    with np.errstate(invalid="ignore"):
-        for column in log_rows.T[:, :, None]:
-            np.add(lo, column, out=buf)
-            if patch_products:
-                buf[np.isnan(buf)] = LOG_ZERO
-            np.logaddexp(hi, buf, out=hi)
-    return s

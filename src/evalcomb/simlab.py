@@ -890,9 +890,9 @@ def enumerate_exact(
             f"2^{cost.bit_length() - 1} work units, past the budget of "
             f"2^{_ENUMERATION_BUDGET.bit_length() - 1}"
         )
+    # over the exact total of the decimal probs: 3 x 1/3 reads as 0.9999999999999999
+    probs = [_decimal_fraction(level.prob) for level in levels]
     total = Fraction(0)
-    for level in levels:
-        total += _decimal_fraction(level.prob) * _level_rejection_probability(
-            level, scenario.n, threshold, statistic_kind
-        )
-    return total
+    for level, prob in zip(levels, probs):
+        total += prob * _level_rejection_probability(level, scenario.n, threshold, statistic_kind)
+    return total / sum(probs)

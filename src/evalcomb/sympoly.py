@@ -19,16 +19,16 @@ blocks of at most 64, whose sums come from the one-pass recursion
 run on all blocks at once.  Groups of 8 blocks are then folded, level
 by level, each block applied to its group's running sums as a
 convolution.  A block whose entries could push its sums out of the
-float range is first scaled by a power of two.  Every sum after that is
-carried as a mantissa and a binary exponent per (row, column), and each
-term of a convolution is aligned to the largest term of its column with
-``ldexp``, so no sum overflows or underflows; ``frexp`` and ``ldexp``
-scale by powers of two and are exact.  A row with an ``inf`` or a
-subnormal entry, or whose entries lie too far apart within one base
-block, runs the log-domain recursion with a log-sum-exp per cell
-instead.  Both paths keep 0 * inf = 0: the linear-domain kernel never
-sees an ``inf``, and the fallback turns the NaN of each such product
-into a zero.
+float range is first scaled by a power of two, and a row whose entries
+lie too far apart within one base block runs in blocks of one entry.
+Every sum after that is carried as a mantissa and a binary exponent
+(int32, or int64 for logs far past the float range) per (row, column),
+and each term of a convolution is aligned to the largest term of its
+column with ``ldexp``, so no sum overflows or underflows; ``frexp`` and
+``ldexp`` scale by powers of two and are exact.  Subnormal entries take
+their exponent and mantissa from the log.  A row with an ``inf`` needs
+no kernel: by 0 * inf = 0, S_k is inf up to its count of nonzero
+entries and 0 above.
 
 The max statistic needs only a prefix of the sums.  For nonnegative
 entries Newton's inequalities give A_k^2 >= A_(k-1) A_(k+1), so log A_k
@@ -86,9 +86,9 @@ def log_esp_batch(log_rows: np.ndarray) -> np.ndarray:
     """log S_0 .. log S_n for each row of a (rows, n) matrix of log
     e-values.
 
-    Rows whose entries pass the range test run the blocked linear-domain
-    kernel and the others the log-domain recursion (module docstring).
-    Rows never mix, so a row's result does not depend on the others.
+    One kernel runs every row (module docstring), and rows never mix, so
+    a row's result does not depend on the others.  Logs whose n-fold sum
+    passes 2^59 binary exponents are a ValidationError.
     """
     log_rows = _checked_rows(log_rows)
     return _esp.prefix_sums(log_rows)(log_rows.shape[1] + 1)

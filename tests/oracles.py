@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from evalcomb.core import LOG_ZERO, EValueVector, LogValue
+from evalcomb.core import LOG_INF, LOG_ZERO, EValueVector, LogValue
 from evalcomb.errors import ValidationError
 from evalcomb.sympoly import log_averages_batch, log_binomials, log_esp_batch
 
@@ -54,6 +54,33 @@ def naive_symmetric_sums(E: EValueVector) -> tuple[LogValue, ...]:
                 terms.append(sum(combo))
         out.append(LogValue(logsumexp_1d(np.array(terms))))
     return tuple(out)
+
+
+def log_domain_esp(log_rows: np.ndarray, columns: int | None = None) -> np.ndarray:
+    """log S_0 .. log S_(columns - 1) (default all n + 1) of each row of
+    a (rows, n) matrix of log e-values, by the one-pass recursion
+    s_j <- s_j + E_m s_(j-1) with a log-sum-exp per cell.
+
+    Shares no code with the linear-domain kernel of
+    :func:`evalcomb.sympoly.log_esp_batch`, and takes every legal row,
+    logs far outside the float range among them.  The NaN patch applies
+    the 0 * inf = 0 rule: IEEE turns those products (-inf plus +inf) into
+    NaN, and the convention says zero.
+    """
+    rows, n = log_rows.shape
+    columns = n + 1 if columns is None else columns
+    s = np.full((rows, columns), LOG_ZERO)
+    s[:, 0] = 0.0
+    buf = np.empty((rows, columns - 1))
+    lo, hi = s[:, :-1], s[:, 1:]
+    patch_products = bool((log_rows == LOG_INF).any())
+    with np.errstate(invalid="ignore"):
+        for column in log_rows.T[:, :, None]:
+            np.add(lo, column, out=buf)
+            if patch_products:
+                buf[np.isnan(buf)] = LOG_ZERO
+            np.logaddexp(hi, buf, out=hi)
+    return s
 
 
 def mixture_value(E: EValueVector, lam: float) -> LogValue:

@@ -44,7 +44,8 @@ def _long(*head, fill=1.5, n=150):
 
 
 # Longer than the kernel's blocks: magnitudes that force base-block
-# scaling or the log-domain fallback, next to ordinary entries.
+# scaling or blocks of one entry, and an inf with its closed form, next
+# to ordinary entries.
 EDGE_VECTORS += [
     _long(1e300, 1e-300),
     _long(1e300, 1e300, 1e300, fill=1e-300),

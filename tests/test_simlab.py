@@ -146,6 +146,13 @@ class TestScenarios:
             with pytest.raises(ConfigError):
                 IidLognormal(sigma=sigma, n=5)
 
+    def test_lognormal_far_past_the_float_range(self):
+        """sigma = 5000 puts every log e-value near -1.25e7, past the
+        float range and past int32 exponents for the sums at n = 40: the
+        kernel runs them in int64, and no statistic rejects under H0."""
+        summary = mc_type1(IidLognormal(sigma=5000, n=40), 0.05, 2000, 1)
+        assert set(summary.rejection_rate.values()) == {0.0}
+
     def test_factor_probabilities_must_sum_to_one(self):
         with pytest.raises(ConfigError):
             FactorScenario(
@@ -198,6 +205,14 @@ class TestScenarios:
     def test_numpy_float_parameters_enumerate(self):
         sc = IidTwoPoint(p=np.float64(0.5), hi=np.float64(2.0), lo=0.0, n=2)
         assert enumerate_exact(sc, np.float64(2.0), StatKind.MAX_AVERAGE) == Fraction(1, 4)
+
+    def test_level_probabilities_are_read_to_sum_to_one(self):
+        """Three levels of prob 1/3 have decimals 0.3333333333333333 that
+        sum to 1 - 10^-16; each is read over that exact total, so at
+        threshold 0, where every outcome rejects, the rate is exactly 1."""
+        sc = FactorScenario((FactorLevel(prob=1 / 3, p=0.5, hi=2.0, lo=0.0),) * 3, 4)
+        for kind in (StatKind.MAX_AVERAGE, StatKind.OPTIMIZED_BETTING):
+            assert enumerate_exact(sc, 0, kind) == Fraction(1)
 
 
 # ----- streams and generators -----

@@ -24,7 +24,7 @@ from evalcomb.sympoly import (
     symmetric_averages,
 )
 from evalcomb.testkit import test_max_average
-from oracles import identity_residuals, mixture_value, naive_symmetric_sums
+from oracles import identity_residuals, log_domain_esp, mixture_value, naive_symmetric_sums
 
 
 def _log_vals(values):
@@ -145,8 +145,8 @@ EDGE_ENTRIES = st.sampled_from(
 @st.composite
 def wide_evalue_arrays(draw, max_n=12):
     """Vectors mixing ordinary entries with 0, inf, subnormals and
-    magnitudes near 1e+-300, so that both the linear-domain kernel and
-    the log-domain fallback run."""
+    magnitudes near 1e+-300, so that every path of the kernel runs:
+    unscaled, scaled, one-entry blocks and the closed form for inf."""
     n = draw(st.integers(min_value=1, max_value=max_n))
     entry = st.one_of(
         EDGE_ENTRIES, st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -176,6 +176,44 @@ def test_recursion_matches_naive_enumeration(values):
             _assert_matches_naive(values)
 
 
+def _within_kernel_tolerance(got, want, slack=1.0):
+    """got equals want where either is 0 or inf, and lies within ``slack``
+    times the kernel's tolerance of it elsewhere."""
+    if math.isinf(got) or math.isinf(want):
+        return got == want
+    return abs(got - want) <= slack * (1e-10 + 1e-13 * abs(want))
+
+
+def _sums_at_every_layout(values):
+    """log S_k of one vector with the kernel's own base blocks and with
+    base blocks of at most 2 entries."""
+    log_values = _log_vals(values)
+    with small_blocks(2):
+        small = log_esp(log_values)
+    return log_esp(log_values), small
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_permuting_a_row_leaves_its_sums(data):
+    values = data.draw(wide_evalue_arrays())
+    permuted = data.draw(st.permutations(values))
+    for got, want in zip(_sums_at_every_layout(permuted), _sums_at_every_layout(values)):
+        assert all(_within_kernel_tolerance(g, w, slack=2.0) for g, w in zip(got, want))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_raising_an_entry_never_lowers_a_sum(data):
+    values = data.draw(wide_evalue_arrays())
+    i = data.draw(st.integers(0, len(values) - 1))
+    raised = list(values)
+    raised[i] = max(values[i], data.draw(EDGE_ENTRIES | st.floats(1e-3, 1e3)))
+    for high, low in zip(_sums_at_every_layout(raised), _sums_at_every_layout(values)):
+        for h, lo in zip(high, low):
+            assert h >= lo or _within_kernel_tolerance(h, lo, slack=2.0)
+
+
 def test_naive_handles_infinity_like_recursion():
     ev = validate_evalues([0.0, math.inf, 2.0])
     fast = log_esp(ev.log_values)
@@ -188,9 +226,10 @@ def test_naive_handles_infinity_like_recursion():
 
 
 def _mixed_rows(rng, rows, n):
-    """Lognormal rows with zeros, plus rows that take the fallback (an
-    inf, a 1e300 next to a 1e-300, a subnormal among large entries) and
-    rows that need base-block scaling (entries near 1e+-100)."""
+    """Lognormal rows with zeros, plus a row with an inf (the closed
+    form), rows with a 1e300 next to a 1e-300 or a subnormal among large
+    entries (one-entry blocks) and rows that need base-block scaling
+    (entries near 1e+-100)."""
     values = rng.lognormal(sigma=2.0, size=(rows, n))
     values[rng.random(values.shape) < 0.1] = 0.0
     values[1, rng.integers(n)] = math.inf
@@ -204,8 +243,8 @@ def _mixed_rows(rng, rows, n):
 
 def test_batch_esp_identical_to_per_row():
     """n = b - 1, b, b + 1 and 2b + 1 around the largest base block b,
-    and a two-level layout; rows mix the fast kernel and the fallback,
-    and the batch is large enough to change how columns are sliced."""
+    and a two-level layout; rows mix every path of the kernel, and the
+    batch is large enough to change how columns are sliced."""
     rng = np.random.default_rng(5)
     for n in (1, 7, 63, 64, 65, 129, 600):
         log_rows = _mixed_rows(rng, 40, n)
@@ -252,44 +291,114 @@ def test_esp_matches_exact_sums_on_dyadic_entries(n, bound):
                 assert abs(g - w) <= bound
 
 
-def test_fast_kernel_matches_log_domain_fallback_at_large_n():
+def _decimal_log_sums(values) -> list[float]:
+    """log S_0 .. log S_n of float entries by the one-pass recursion in
+    60-digit decimal arithmetic.  Every term is nonnegative and each
+    float converts exactly, so each sum is within n 10^-59 relative of
+    the exact one: exact for a float comparison, at any magnitude."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        sums = [Decimal(1)] + [Decimal(0)] * len(values)
+        for v in map(Decimal, values):
+            for j in range(len(values), 0, -1):
+                sums[j] += v * sums[j - 1]
+        return [float(x.ln()) if x else LOG_ZERO for x in sums]
+
+
+@pytest.mark.parametrize("n", [12, 100, 300])
+def test_esp_is_accurate_on_dyadic_entries_across_the_float_range(n):
+    """Entries k/8 2^s, s in {-1040, -700, 0, 700, 900}: subnormals and
+    magnitudes near 1e+-300 in one row, which runs in blocks of one
+    entry.  Every log S_k is within one unit in the last place of the
+    row's largest |log S_k|; the log-domain recursion that such rows ran
+    before missed that at n = 100 and 300 (errors of 1.5 and 2 units)."""
+    for seed in range(3):
+        rng = np.random.default_rng([seed, n, 5])
+        values = np.ldexp(rng.integers(0, 24, n) / 8.0, rng.choice([-1040, -700, 0, 700, 900], n))
+        got = log_esp(_log_vals(values))
+        want = _decimal_log_sums(values.tolist())
+        ulp = math.ulp(max(abs(w) for w in want if w != LOG_ZERO))
+        for g, w in zip(got, want):
+            assert g == w if w == LOG_ZERO else abs(g - w) <= ulp
+
+
+def test_max_average_across_the_float_range_is_correctly_rounded():
+    """1500 entries 1e300, 1500 entries 1e-300 and a 5e-324: the maximum
+    is A_1500 = 1e300^1500 / C(3001, 1500) to about 1e-590 relative,
+    whose log is 1034087.38655009671669..."""
+    values = [1e300] * 1500 + [1e-300] * 1500 + [5e-324]
+    report = test_max_average(validate_evalues(values), 0.05)
+    want = 1034087.38655009671669
+    assert report.detail.argmax_k == 1500
+    assert abs(report.log_statistic.log_magnitude - want) <= 4 * math.ulp(want)
+
+
+def test_logs_beyond_the_float_range():
+    """Logs of +-1e15 take int64 exponents and match the log-domain
+    recursion within n units in the last place of the largest |log|;
+    past int64's budget for the exponents of the sums a row is refused."""
+    log_rows = np.array([[1e15, -1e15, math.log(3.0)]])
+    want = log_domain_esp(log_rows)
+    np.testing.assert_allclose(log_esp_batch(log_rows), want, rtol=0, atol=3 * math.ulp(1e15))
+    got = log_esp_batch(np.array([[1e17, 0.0]]))[0]
+    np.testing.assert_allclose(got, [0.0, 1e17, 1e17], rtol=0, atol=2 * math.ulp(1e17))
+    with pytest.raises(ValidationError, match="too large"):
+        log_esp_batch(np.array([[1e18, 0.0]]))
+
+
+def test_kernel_matches_log_domain_oracle_at_large_n():
     rng = np.random.default_rng(11)
     log_rows = rng.normal(0.0, 1.5, size=(1, 3000))
-    fast = log_esp_batch(log_rows)[0]
-    slow = _esp._log_domain_esp(log_rows)[0]
-    np.testing.assert_allclose(fast, slow, rtol=1e-12)
+    np.testing.assert_allclose(log_esp_batch(log_rows), log_domain_esp(log_rows), rtol=1e-12)
 
 
-def _takes_fallback(values) -> bool:
+def _kernel_path(values) -> str:
+    """The path the kernel takes on one vector: "unscaled", "scaled",
+    "one-entry blocks" (for a vector that fails the range test at its
+    layout's base block size) or "closed form" (an inf entry)."""
     log_rows = _log_vals(values)[None]
-    with mock.patch.object(
-        _esp, "_log_domain_esp", wraps=_esp._log_domain_esp
-    ) as fallback:
+    with mock.patch.object(_esp, "_fast_sums", wraps=_esp._fast_sums) as fast:
         log_esp_batch(log_rows)
-    return fallback.called
+    if not fast.called:
+        return "closed form"
+    tau, b0 = fast.call_args.args[2:4]
+    if tau is None:
+        return "unscaled"
+    return "scaled" if b0 == _esp._layout(len(values), _esp._BASE)[0] else "one-entry blocks"
 
 
 def test_range_test_edges():
-    """A base block of b entries runs in linear domain exactly when its
-    binary exponents span at most 2h, h = _BLOCK_BITS // b - 1, and the
-    result agrees with the log-domain recursion right at that edge."""
+    """A vector of one base block of b entries runs in that block, scaled
+    by a power of two, exactly when its binary exponents span at most 2h,
+    h = _BLOCK_BITS // b - 1, and in blocks of one entry past that; the
+    result agrees with the log-domain recursion on both sides of the
+    edge."""
     b = 8
     h = _esp._BLOCK_BITS // b - 1
-    for spread, fallback in [(2 * h, False), (2 * h + 1, True)]:
+    for spread, path in [(2 * h, "scaled"), (2 * h + 1, "one-entry blocks")]:
         values = np.full(b, 3.0)
         values[0] = math.ldexp(0.75, spread + 2)  # binary exponents 2 and spread + 2
-        assert _takes_fallback(values) is fallback
+        assert _kernel_path(values) == path
         log_rows = _log_vals(values)[None]
-        np.testing.assert_allclose(
-            log_esp_batch(log_rows), _esp._log_domain_esp(log_rows), rtol=1e-13
-        )
-    assert _takes_fallback([1.0, math.inf, 2.0])
-    assert _takes_fallback([1e-310, 2.0])  # subnormal: not a normal float
-    assert not _takes_fallback([1e-300, 1e-300, 0.0])  # scaled by 2^-664
-    assert not _takes_fallback([0.0, 1e10] * 32)
-    with mock.patch.object(_esp, "_MAX_FAST_N", 4):
-        assert _takes_fallback([1.0] * 5)
-        assert not _takes_fallback([1.0] * 4)
+        np.testing.assert_allclose(log_esp_batch(log_rows), log_domain_esp(log_rows), rtol=1e-13)
+    assert _kernel_path([1.0, math.inf, 2.0]) == "closed form"
+    assert _kernel_path([1e-310, 2.0]) == "one-entry blocks"  # exponents -1029 and 2
+    assert _kernel_path([1e-300, 1e-300, 0.0]) == "scaled"  # by 2^-664
+    assert _kernel_path([0.0, 1e10] * 32) == "scaled"
+    assert _kernel_path([0.0, 1.5] * 32) == "unscaled"
+
+
+def test_exponent_width_does_not_change_the_sums():
+    """Rows of every path give the same sums, and the same max average,
+    with int64 binary exponents as with int32 ones."""
+    rng = np.random.default_rng(12)
+    for n in (9, 100, 600):
+        log_rows = _mixed_rows(rng, 8, n)
+        want = log_esp_batch(log_rows), _max_average_rows(log_rows)[:2]
+        with mock.patch.dict(_esp._EXP_BUDGET, {np.int32: 0}):
+            got = log_esp_batch(log_rows), _max_average_rows(log_rows)[:2]
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 def test_batch_esp_rejects_one_dimensional_input():
@@ -310,10 +419,10 @@ def test_empty_batch_has_no_rows(n):
 
 def _path_rows(rng, n):
     """Rows for each kernel path: unscaled (lognormal sigma 1), scaled
-    (sigma 1 times 1e100), scaled at n <= 1000 and the log-domain
-    fallback at n = 3000, whose base blocks span more binades (sigma 4
-    and 6), and the fallback at every n (an inf, subnormals among large
-    entries, a 0 next to an inf)."""
+    (sigma 1 times 1e100), scaled at n <= 1000 and in one-entry blocks
+    at n = 3000, whose base blocks span more binades (sigma 4 and 6),
+    one-entry blocks at every n (subnormals among large entries) and the
+    closed form (an inf, a 0 next to an inf)."""
     rows = np.exp(rng.standard_normal((7, n)) * [[1.0], [4.0], [1.0], [6.0], [1.0], [1.0], [1.0]])
     rows[2] *= 1e100
     rows[4, rng.integers(n)] = math.inf
@@ -329,7 +438,7 @@ def _limits(n):
     each fold level, a stride, and n, n + 1."""
     if n <= 600:
         return list(range(1, n + 2))
-    b0, fans = _esp._layout(n)
+    b0, fans = _esp._layout(n, _esp._BASE)
     limits = set(range(1, 67)) | set(range(1, n + 2, 293)) | {n, n + 1}
     for level in range(len(fans)):
         d = b0 * math.prod(fans[:level])
@@ -355,9 +464,9 @@ def test_column_limit_gives_the_prefix_of_the_full_kernel(n):
         for row, want in zip(log_rows, full):
             np.testing.assert_array_equal(_esp.prefix_sums(row[None])(c)[0], want[:c])
     if n == 3000:  # the paths the rows are meant to take
-        fallback = [_takes_fallback(np.exp(row)) for row in log_rows]
-        assert fallback == [False, True, False, True, True, True, True]
-        assert not (np.abs(log_rows[2]) <= 13).all()  # not tame: scaled
+        paths = [_kernel_path(np.exp(row)) for row in log_rows]
+        one, closed = "one-entry blocks", "closed form"
+        assert paths == ["unscaled", one, "scaled", one, closed, one, closed]
 
 
 def _strong_rows(rng, n):
