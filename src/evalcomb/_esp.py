@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 
 import numpy as np
 
@@ -38,22 +37,18 @@ def _layout(n: int, base: int) -> tuple[int, tuple[int, ...]]:
     return b0, (_FAN_OUT,) * (levels - 1) + (top,) * (levels > 0)
 
 
-def prefix_sums(log_rows: np.ndarray) -> Callable[[int], np.ndarray]:
-    """log S_0 .. log S_(c - 1) for each row of a float (rows, n) matrix
-    of log e-values, as a function of the column limit c <= n + 1: the
-    whole of :func:`evalcomb.sympoly.log_esp_batch` at c = n + 1, and a
-    prefix of it for a search that raises the limit.
-
-    The base blocks and the first fold level run whole, here, once:
-    their sums have degree at most _BASE * _FAN_OUT.  Each call runs
-    only the levels above at its limit, so a call's cost beyond that
-    fixed part grows with the square of the limit rather than with n
-    times it.  Rows that fail the range test of :func:`_base_scales` run
-    in blocks of one entry, and rows with an ``inf`` take a closed form.
+def prefix_sums(log_rows: np.ndarray, columns: int) -> np.ndarray:
+    """log S_0 .. log S_(c - 1), c = ``columns`` <= n + 1, for each row
+    of a float (rows, n) matrix of log e-values: the whole of
+    :func:`evalcomb.sympoly.log_esp_batch` at c = n + 1, and a prefix of
+    it for a search.  The base blocks run whole and every fold level at
+    the limit: about n c multiply-adds below the top level and c^2 at
+    it.  Rows that fail the range test of :func:`_base_scales` run in
+    blocks of one entry, and rows with an ``inf`` take a closed form.
     """
     rows, n = log_rows.shape
     if rows == 0:
-        return lambda columns: np.empty((0, columns))
+        return np.empty((0, columns))
     b0, fans = _layout(n, _BASE)
     # Entries within 2^+-(h - 1), h as in _base_scales, need no scaling;
     # skipping the scale computation halves the time at n = 8.
@@ -61,32 +56,24 @@ def prefix_sums(log_rows: np.ndarray) -> Callable[[int], np.ndarray]:
     if n * (_BLOCK_BITS // b0 + 1) <= _EXP_BUDGET[np.int32] and tame.all():
         entries = np.zeros((rows, b0 * math.prod(fans)))
         np.exp(log_rows, out=entries[:, :n])
-        return _fast_sums(entries, None, None, b0, fans)
-    parts = []  # (rows, their sums as a function of the column limit)
+        return _fast_sums(entries, None, None, b0, fans, columns)
+    out = np.empty((rows, columns))
     infinite = np.logical_or.reduce(log_rows == LOG_INF, axis=1)
     if infinite.any():
         # S_k = inf for 1 <= k <= the count of nonzero entries, and 0 above,
         # where every product has a zero factor (0 * inf = 0).
         nonzero = np.count_nonzero(log_rows[infinite] != LOG_ZERO, axis=1)
-        closed = np.where(np.arange(n + 1) <= nonzero[:, None], LOG_INF, LOG_ZERO)
-        closed[:, 0] = 0.0
-        parts.append((infinite, lambda columns: closed[:, :columns]))
+        out[infinite] = np.where(np.arange(columns) <= nonzero[:, None], LOG_INF, LOG_ZERO)
+        out[infinite, 0] = 0.0
     finite, ones = np.flatnonzero(~infinite), _layout(n, 1)[1]
     m, x = _split(log_rows[finite], max(b0 * math.prod(fans), math.prod(ones)))
     tau, fast = _base_scales(x[:, : b0 * math.prod(fans)], b0)
     if fast.any():
-        parts.append((finite[fast], _fast_sums(m[fast], x[fast], tau[fast], b0, fans)))
+        out[finite[fast]] = _fast_sums(m[fast], x[fast], tau[fast], b0, fans, columns)
     if not fast.all():
         tau = _base_scales(x[~fast, : math.prod(ones)], 1)[0]
-        parts.append((finite[~fast], _fast_sums(m[~fast], x[~fast], tau, 1, ones)))
-
-    def sums(columns: int) -> np.ndarray:
-        out = np.empty((rows, columns))
-        for chosen, part in parts:
-            out[chosen] = part(columns)
-        return out
-
-    return parts[0][1] if len(parts) == 1 else sums
+        out[finite[~fast]] = _fast_sums(m[~fast], x[~fast], tau, 1, ones, columns)
+    return out
 
 
 def _split(logs: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,9 +93,12 @@ def _split(logs: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     normal = (logs >= _LOG_TINY) & (logs <= _LOG_HUGE)
     np.frexp(np.exp(logs, out=None, where=normal), out=(m_n, x_n), where=normal)
     other = ~(normal | zero)
-    # E = 2^k e^r, k = floor(log E / ln 2); k * _LN2_HI is exact while |k| < 2^28
+    # E = 2^k e^r, k = floor(log E / ln 2).  k * _LN2_HI comes off log E exactly in
+    # pieces of k of at most 28 bits (_LN2_HI has 25), largest first, with k's sign.
     k = np.floor(logs[other] / math.log(2.0))
-    m_n[other], e = np.frexp(np.exp((logs[other] - k * _LN2_HI) - k * _LN2_LO))
+    low56, low28 = np.fmod(k, 2.0**56), np.fmod(k, 2.0**28)
+    r = logs[other] - (k - low56) * _LN2_HI - (low56 - low28) * _LN2_HI - low28 * _LN2_HI
+    m_n[other], e = np.frexp(np.exp(r - k * _LN2_LO))
     x_n[other] = k.astype(dtype) + e
     return m, x
 
@@ -133,14 +123,16 @@ def _base_scales(x: np.ndarray, b0: int) -> tuple[np.ndarray, np.ndarray]:
     return tau, np.logical_and.reduce(hi - lo <= 2 * h, axis=1)
 
 
-def _fast_sums(m, x, tau, b0: int, fans: tuple[int, ...]) -> Callable[[int], np.ndarray]:
-    """The linear-domain kernel as a function of the column limit (at
-    most n + 1), on the entries m 2^x with the entries of base block t
-    scaled by 2^-tau_t; x and tau None mean plain entries m."""
+def _fast_sums(m, x, tau, b0: int, fans: tuple[int, ...], columns: int) -> np.ndarray:
+    """The linear-domain kernel's first ``columns`` sums (at most n + 1)
+    of the entries m 2^x with the entries of base block t scaled by
+    2^-tau_t; x and tau None mean plain entries m.  The base blocks run
+    whole, and every fold level at the limit."""
     blocks, powers = m[:, : b0 * math.prod(fans)], None
     if tau is not None:
         blocks = np.ldexp(blocks, x[:, : blocks.shape[1]] - np.repeat(tau, b0, axis=1))
-        powers = tau.reshape(-1, 1) * np.arange(b0 + 1, dtype=tau.dtype)  # s_j is S_j 2^-powers_j
+        # s_j is S_j 2^-powers_j
+        powers = tau.reshape(-1, 1) * np.arange(min(b0 + 1, columns), dtype=tau.dtype)
     blocks = blocks.reshape(-1, b0)
     s = np.zeros((blocks.shape[0], b0 + 1))
     s[:, 0] = 1.0
@@ -149,36 +141,24 @@ def _fast_sums(m, x, tau, b0: int, fans: tuple[int, ...]) -> Callable[[int], np.
         # full width: past the current degree s holds exact zeros
         np.multiply(lo, column, out=buf)
         np.add(hi, buf, out=hi)
+    s = s[:, :columns]
     if not fans:
-        if powers is None:
-            return lambda columns: _log(s[:, :columns])
-        near = 1020 - _BLOCK_BITS
-        return lambda columns: _log_from_parts(s[:, :columns], powers[:, :columns], near)
+        return _log(s) if powers is None else _log_from_parts(s, powers, 1020 - _BLOCK_BITS)
     mu, g = np.frexp(s)
     g = g if powers is None else g + powers
     g[mu == 0] = -4 * _EXP_BUDGET[g.dtype.type]
-    shape = (-1, fans[0], b0 + 1)
     with np.errstate(under="ignore"):
-        mu, g = _fold(mu.reshape(shape), g.reshape(shape))
-
-    def sums(columns: int) -> np.ndarray:
-        m, e = mu[:, :columns], g[:, :columns]
-        with np.errstate(under="ignore"):
-            for fan in fans[1:]:
-                shape = (-1, fan, m.shape[1])
-                m, e = _fold(m.reshape(shape), e.reshape(shape), columns)
-        return _log_from_parts(m[:, :columns], e[:, :columns], 1000)
-
-    return sums
+        for fan in fans:
+            shape = (-1, fan, mu.shape[1])
+            mu, g = _fold(mu.reshape(shape), g.reshape(shape), columns)
+    return _log_from_parts(mu, g, 1000)
 
 
-def _fold(
-    mu: np.ndarray, g: np.ndarray, columns: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of each group of blocks from the blocks' sums mu 2^g, an
-    exact zero having the zero exponent: (groups, fan, d + 1) ->
-    (groups, min(fan * d + 1, columns)) mantissas in [1/2, 1) and
-    exponents; all fan * d + 1 sums when ``columns`` is None.
+def _fold(mu: np.ndarray, g: np.ndarray, columns: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``columns`` sums of each group of blocks from the
+    blocks' sums mu 2^g, an exact zero having the zero exponent:
+    (groups, fan, d + 1) -> (groups, min(fan * d + 1, columns))
+    mantissas in [1/2, 1) and exponents, for d + 1 <= ``columns``.
 
     Block t is applied to the running sums as S'_j = sum_i e_i S_(j-i),
     i = 0..d.  Output column j reads only columns <= j of its inputs, so
@@ -190,11 +170,12 @@ def _fold(
     term of its column and ``ldexp`` scales the mantissa by the
     difference, so every term is at most 1 and the largest at least 1/4:
     a column sum neither overflows nor loses a term that matters.  Only
-    terms below 2^-1022 of the largest underflow.
+    terms below 2^-1022 of the largest underflow.  A call costs about
+    groups * fan * d multiply-adds per output column.
     """
     groups, fan, d1 = mu.shape
     d = d1 - 1
-    width = fan * d + 1 if columns is None else min(fan * d + 1, columns)
+    width = min(fan * d + 1, columns)
     zero = -4 * _EXP_BUDGET[g.dtype.type]
     # d leading zero columns let every window start at column 0
     M = np.zeros((groups, d + width))

@@ -340,6 +340,10 @@ def test_logs_beyond_the_float_range():
     log_rows = np.array([[1e15, -1e15, math.log(3.0)]])
     want = log_domain_esp(log_rows)
     np.testing.assert_allclose(log_esp_batch(log_rows), want, rtol=0, atol=3 * math.ulp(1e15))
+    # S_3 = e^L e^-L 3: the reduction of L by k ln 2, k up to 2^51, is exact
+    for big in (1e12, 1e15):
+        got = log_esp_batch(np.array([[big, -big, math.log(3.0)]]))[0, 3]
+        assert abs(got - math.log(3.0)) <= 1e-6, (big, got)
     got = log_esp_batch(np.array([[1e17, 0.0]]))[0]
     np.testing.assert_allclose(got, [0.0, 1e17, 1e17], rtol=0, atol=2 * math.ulp(1e17))
     with pytest.raises(ValidationError, match="too large"):
@@ -447,7 +451,7 @@ def _limits(n):
     return sorted(limits)
 
 
-@pytest.mark.parametrize("n", [1, 7, 64, 65, 600, 1000, 3000])
+@pytest.mark.parametrize("n", [1, 7, 64, 65, 100, 600, 1000, 2000, 3000])
 def test_column_limit_gives_the_prefix_of_the_full_kernel(n):
     """In every fold output column j reads only input columns <= j, so a
     run limited to c columns gives the first c sums of the full run bit
@@ -455,14 +459,14 @@ def test_column_limit_gives_the_prefix_of_the_full_kernel(n):
     ``_limits``, and on every path alone and in a mixed batch at a
     sample of them."""
     log_rows = _path_rows(np.random.default_rng(n), n)
-    full = _esp.prefix_sums(log_rows)(n + 1)
+    full = _esp.prefix_sums(log_rows, n + 1)
     limits = _limits(n)
     for c in limits:
-        np.testing.assert_array_equal(_esp.prefix_sums(log_rows[::2][:2])(c), full[::2][:2, :c])
+        np.testing.assert_array_equal(_esp.prefix_sums(log_rows[::2][:2], c), full[::2][:2, :c])
     for c in limits[:: max(1, len(limits) // 6)] + [n + 1]:
-        np.testing.assert_array_equal(_esp.prefix_sums(log_rows)(c), full[:, :c])
+        np.testing.assert_array_equal(_esp.prefix_sums(log_rows, c), full[:, :c])
         for row, want in zip(log_rows, full):
-            np.testing.assert_array_equal(_esp.prefix_sums(row[None])(c)[0], want[:c])
+            np.testing.assert_array_equal(_esp.prefix_sums(row[None], c)[0], want[:c])
     if n == 3000:  # the paths the rows are meant to take
         paths = [_kernel_path(np.exp(row)) for row in log_rows]
         one, closed = "one-entry blocks", "closed form"
@@ -513,14 +517,9 @@ def _counted_limits():
     ``_esp.prefix_sums``."""
     prefix_sums, limits = _esp.prefix_sums, []
 
-    def counted(rows):
-        sums = prefix_sums(rows)
-
-        def limited(columns):
-            limits.append(columns)
-            return sums(columns)
-
-        return limited
+    def counted(rows, columns):
+        limits.append(columns)
+        return prefix_sums(rows, columns)
 
     with mock.patch.object(_esp, "prefix_sums", counted):
         yield limits
@@ -574,6 +573,34 @@ def test_rows_past_the_first_limit_take_larger_limits(n):
     for r, k in enumerate(want[0]):
         for g, w in zip(got[2:], want[2:]):
             np.testing.assert_array_equal(g[r, : k + 2], w[r, : k + 2])
+
+
+def test_every_fold_level_runs_at_the_search_limit():
+    """The search runs each fold level, the first included, at its one
+    round's limit, and returns no more columns than that; the full
+    averages run every level whole."""
+    n = 3000
+    row = np.random.default_rng(5).standard_normal(n) * 0.5 - 0.125
+    fold, calls = _esp._fold, []
+
+    def spy(mu, g, columns):
+        out = fold(mu, g, columns)
+        calls.append((mu.shape, columns, out[0].shape[1]))
+        return out
+
+    with mock.patch.object(_esp, "_fold", spy), _counted_limits() as limits:
+        _max_average_rows(row[None])
+    assert len(limits) == 1 and limits[0] < n + 1, limits
+    assert len(calls) == len(_esp._layout(n, _esp._BASE)[1])
+    for shape, columns, width in calls:
+        assert columns == limits[0] and width <= columns, (shape, columns, width)
+    calls.clear()
+    with mock.patch.object(_esp, "_fold", spy):
+        symmetric_averages(validate_evalues(np.exp(row)))
+    assert len(calls) == len(_esp._layout(n, _esp._BASE)[1])
+    for (groups, fan, d1), columns, width in calls:
+        assert columns == n + 1 and width == min(fan * (d1 - 1) + 1, n + 1)
+    assert calls[-1][2] == n + 1
 
 
 @pytest.mark.parametrize("n", [5, 200, 2000, 3000])
