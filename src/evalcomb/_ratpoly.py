@@ -34,7 +34,8 @@ decides its outcome classes with them:
   supremum is 1, M(1) or M(lam*), each one comparison of integer
   powers.
 
-The generic deciders stay the oracle for arbitrary rational rows.
+The generic betting decider, :func:`poly_max_reaches`, stays the
+oracle for arbitrary rational rows.
 
 Polynomials are dense lists of ints, index = degree of the term; the
 zero polynomial is ``[0]``.  The public functions also take Fraction
@@ -53,7 +54,6 @@ __all__ = [
     "betting_poly",
     "esp_fractions",
     "poly_max_reaches",
-    "max_average_reaches",
     "two_point_max_average_reaches",
     "two_point_betting_reaches",
 ]
@@ -214,18 +214,6 @@ def esp_fractions(values: Sequence[int | Fraction]) -> list[Fraction]:
     return [Fraction(s, den**k) for k, s in enumerate(_esp_integers(nums))]
 
 
-def max_average_reaches(values: Sequence[int | Fraction], t: int | Fraction) -> bool:
-    """Exact decision: does max over k of A_k = S_k / C(n, k) reach the
-    threshold t (closed comparison)?"""
-    t = _rational(t)
-    nums, den = _common_numerators(values)
-    n = len(nums)
-    return any(
-        t.denominator * s >= t.numerator * math.comb(n, k) * den**k
-        for k, s in enumerate(_esp_integers(nums))
-    )
-
-
 def poly_max_reaches(values: Sequence[int | Fraction], t: int | Fraction) -> bool:
     """Exact decision: does sup over lam in [0, 1] of the betting
     product reach the threshold t (closed comparison)?
@@ -249,8 +237,9 @@ def poly_max_reaches(values: Sequence[int | Fraction], t: int | Fraction) -> boo
 def two_point_max_average_reaches(
     count: int, n: int, hi: int | Fraction, lo: int | Fraction, t: int | Fraction
 ) -> bool:
-    """:func:`max_average_reaches` on the row of ``count`` entries hi and
-    n - count entries lo (nonnegative), without building the row.
+    """Exact decision: does max over k of A_k = S_k / C(n, k) reach the
+    threshold t (closed comparison) on the row of ``count`` entries hi
+    and n - count entries lo (nonnegative)?  The row is never built.
 
     With hi = a / D and lo = b / D, the sums e_k of the integers are the
     coefficients of G(z) = (1 + a z)^c (1 + b z)^m, m = n - c, that is

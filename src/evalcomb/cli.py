@@ -45,7 +45,7 @@ from .simlab import (
     mc_type1,
     two_point_scenario,
 )
-from .testkit import StatKind, TestReport, test_max_average, test_optimized_betting, test_ville
+from .testkit import StatKind, TestReport, _reports
 
 __all__ = ["main", "build_parser", "parse_scenario"]
 
@@ -327,31 +327,21 @@ def _cmd_combine(args: argparse.Namespace) -> int:
     strategy: float | np.ndarray | None = None
     if StatKind.VILLE_SEQUENTIAL in kinds:
         if args.lambda_ is None and args.lambda_file is None:
-            raise ConfigError(
-                "ville_sequential needs --lambda or --lambda-file"
-            )
+            raise ConfigError("ville_sequential needs --lambda or --lambda-file")
         if args.lambda_ is not None:
             lam = float(args.lambda_)
             if math.isnan(lam) or not (0.0 <= lam <= 1.0):
                 raise ConfigError(f"--lambda must lie in [0, 1], got {lam}")
             strategy = lam
         else:
-            fractions = _read_number_file(args.lambda_file, "betting-fraction")
-            strategy = fractions
+            strategy = _read_number_file(args.lambda_file, "betting-fraction")
     elif args.lambda_ is not None or args.lambda_file is not None:
         raise ConfigError(
             "--lambda/--lambda-file apply only when ville_sequential is requested"
         )
 
-    records = []
-    for kind in kinds:
-        if kind is StatKind.MAX_AVERAGE:
-            report = test_max_average(evector, args.alpha)
-        elif kind is StatKind.OPTIMIZED_BETTING:
-            report = test_optimized_betting(evector, args.alpha)
-        else:
-            report = test_ville(evector, strategy, args.alpha)
-        records.append(_report_record(report, regime))
+    reports = _reports(evector, args.alpha, kinds, strategy)
+    records = [_report_record(report, regime) for report in reports]
 
     out = sys.stdout
     if args.format == "json":

@@ -505,10 +505,11 @@ def _sample_blocks(
 
 
 def _batch_verdicts(log_rows: np.ndarray, alpha: float) -> dict[StatKind, np.ndarray]:
-    """The max-average and betting verdicts on every row."""
+    """The max-average and betting verdicts on every row, from one optimizer run."""
+    best = optimize_lambda_batch(log_rows)
     log_statistics = {
-        StatKind.MAX_AVERAGE: _max_average_rows(log_rows)[1],
-        StatKind.OPTIMIZED_BETTING: optimize_lambda_batch(log_rows).log_value,
+        StatKind.MAX_AVERAGE: _max_average_rows(log_rows, best=best)[1],
+        StatKind.OPTIMIZED_BETTING: best.log_value,
     }
     return {kind: decide_batch(ls, alpha)[2] for kind, ls in log_statistics.items()}
 

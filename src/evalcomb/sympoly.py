@@ -42,12 +42,14 @@ past n lambda*, for lambda* the largest betting optimum over the rows
 from :func:`evalcomb.betting.optimize_lambda_batch`: the betting
 product M_n(lambda) = sum_k C(n, k) lambda^k (1 - lambda)^(n - k) A_k
 weighs the A_k binomially around n lambda, and the argmax tracks
-n lambda* to about one index.  Rows that show no descent within a
-limit take a four times larger one.  Each round runs the kernel once
-at its limit c, every fold level at c: about n c multiply-adds below
-the top level and c^2 at it, at most the cost of every sum.  A second
-round runs the base blocks again; of the 120 combine-large rows of
-bench seeds 1-20 and 3000 random rows, n 100 to 3000, none needed one.
+n lambda* to about one index.  A caller that holds the optimum passes
+it on, so the betting report and the Monte Carlo verdicts share one
+optimizer run.  Rows that show no descent within a limit take a four
+times larger one.  Each round runs the kernel once at its limit c,
+every fold level at c: about n c multiply-adds below the top level and
+c^2 at it, at most the cost of every sum.  A second round runs the base
+blocks again; of the 120 combine-large rows of bench seeds 1-20 and
+3000 random rows, n 100 to 3000, none needed one.
 :func:`symmetric_averages` computes every sum and reads its maximum
 by the same first-descent rule.  In floats the rule and ``np.argmax``
 agree except where rounding breaks exact ties: on all-ones input every
@@ -63,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _esp
-from .betting import optimize_lambda_batch
+from .betting import BettingOptima, BettingOptimum, optimize_lambda_batch
 from .core import EValueVector, LogValue, _checked_rows
 from .errors import ConfigError
 
@@ -95,14 +97,15 @@ def log_esp_batch(log_rows: np.ndarray) -> np.ndarray:
     return _esp.prefix_sums(log_rows, log_rows.shape[1] + 1)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=64)
 def log_binomials(n: int) -> np.ndarray:
     """log C(n, k) for k = 0..n as cumulative sums of log ratios.
 
     The lower half is accumulated and mirrored onto the upper half, so
     log C(n, 0) and log C(n, n) are exactly zero and the array is
-    exactly symmetric.  The array is read-only and cached for the last
-    16 sizes: every call of :func:`log_averages_batch` subtracts it.
+    exactly symmetric.  The array is read-only, and the cache holds at
+    most 64 arrays of n + 1 floats: every max-average search and every
+    call of :func:`log_averages_batch` subtracts one.
     """
     if n < 0:
         raise ConfigError("n must be nonnegative")
@@ -154,10 +157,12 @@ def symmetric_averages(E: EValueVector) -> SymmetricAverages:
     return _averages(E, full=True)
 
 
-def _averages(E: EValueVector, full: bool) -> SymmetricAverages:
+def _averages(
+    E: EValueVector, full: bool, best: BettingOptimum | None = None
+) -> SymmetricAverages:
     """The rows = 1 case of :func:`_max_average_rows` as a report: every
     average when ``full``, else the prefix through the first descent."""
-    argmax_k, log_max, log_S, log_A = _max_average_rows(E.log_values[None], full)
+    argmax_k, log_max, log_S, log_A = _max_average_rows(E.log_values[None], full, best)
     argmax_k = int(argmax_k[0])
     end = None if full else argmax_k + 2
     log_S, log_A = log_S[0, :end], log_A[0, :end]
@@ -176,11 +181,15 @@ _MARGIN = 10  # columns of the first limit past n lambda*
 
 
 def _max_average_rows(
-    log_rows: np.ndarray, full: bool = False
+    log_rows: np.ndarray,
+    full: bool = False,
+    best: BettingOptima | BettingOptimum | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The max statistic of each row of a (rows, n) matrix of log
     e-values: (argmax_k, log_max, log_S, log_A).
 
+    ``best``, the rows' betting optimum (a BettingOptimum for one row),
+    comes from a caller that holds it, or else from an optimizer run.
     argmax_k is each row's first k with log A_(k+1) <= log A_k, or n,
     and log_max = log A_(argmax_k) (module docstring).  log_S and log_A
     hold log S_k and log A_k for k < c, the last column limit the search
@@ -191,8 +200,8 @@ def _max_average_rows(
     log_C = log_binomials(n)
     columns = n + 1
     if not full and n > _esp._BASE:
+        best = optimize_lambda_batch(log_rows) if best is None else best
         # A row with an infinite entry has its maximum at k <= 1.
-        best = optimize_lambda_batch(log_rows)
         lam = np.where(best.infinite_evidence, 0.0, best.lambda_star).max(initial=0.0)
         columns = min(n + 1, math.ceil(n * lam) + _MARGIN)
     while True:

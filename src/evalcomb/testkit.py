@@ -12,6 +12,12 @@ Three decision rules share one report shape:
   predictable fraction sequence ever reaches 1/alpha.  Valid for
   sequential e-values, i.e. under the weakest of the three regimes.
 
+Every test, and ``evalcomb combine`` with any set of statistics,
+reports through one private function, ``_reports``.  It checks alpha
+once, runs the betting optimizer at most once and starts the
+max-average search from its optimum, and it decides every statistic in
+one :func:`decide_batch` call.
+
 All comparisons happen in log domain with a closed threshold: a
 statistic exactly equal to 1/alpha rejects.  The log-domain comparison
 is authoritative; the reported p-value bound is reconciled to it when
@@ -100,7 +106,7 @@ def _checked_alpha(alpha: float) -> float:
     return alpha
 
 
-def _reconciled_p_bound(log_statistic: LogValue, alpha: float, reject: bool) -> float:
+def _reconciled_p_bound(log_statistic: float, alpha: float, reject: bool) -> float:
     """The bound :func:`e_to_p`, nudged to agree with the log-domain
     verdict.
 
@@ -148,31 +154,6 @@ def decide_batch(
     return snapped, log_threshold, snapped >= log_threshold
 
 
-def _report(
-    kind: StatKind,
-    alpha: float,
-    log_statistic: float,
-    detail: Detail,
-    warnings: tuple[str, ...],
-) -> TestReport:
-    """Decide one statistic by the closed rule and build its report.
-
-    Every test reports through here; alpha must already be checked.
-    """
-    snapped, log_threshold, reject = decide_batch(log_statistic, alpha)
-    statistic, reject = LogValue(snapped), bool(reject)
-    return TestReport(
-        statistic_kind=kind,
-        log_statistic=statistic,
-        alpha=alpha,
-        log_threshold=log_threshold,
-        reject=reject,
-        p_bound=_reconciled_p_bound(statistic, alpha, reject),
-        detail=detail,
-        warnings=warnings,
-    )
-
-
 def _batch_regime_warnings(E: EValueVector) -> tuple[str, ...]:
     if E.regime in GUARANTEED_REGIMES:
         return ()
@@ -180,6 +161,46 @@ def _batch_regime_warnings(E: EValueVector) -> tuple[str, ...]:
         "the 1/t tail guarantee for this statistic holds for independent or "
         f"simultaneous e-values; this vector's regime is '{E.regime.value}'",
     )
+
+
+def _reports(
+    E: EValueVector,
+    alpha: float,
+    kinds: Sequence[StatKind],
+    strategy: float | Sequence[float] | None = None,
+    attested: bool = False,
+) -> list[TestReport]:
+    """One report per kind, in order (module docstring); ``strategy``
+    and ``attested`` are those of :func:`test_ville`."""
+    alpha = _checked_alpha(alpha)
+    optimum = optimize_lambda(E) if StatKind.OPTIMIZED_BETTING in kinds else None
+    results = []  # (log statistic, detail, warnings) for each kind
+    for kind in kinds:
+        if kind is StatKind.VILLE_SEQUENTIAL:
+            detail, warnings = _ville_detail(E, strategy, alpha, attested)
+            # snapping is monotone, so the path's maximum decides the whole path
+            results.append((np.max(detail.log_trajectory), detail, warnings))
+        elif kind is StatKind.OPTIMIZED_BETTING:
+            results.append((optimum.log_value.log_magnitude, optimum, _batch_regime_warnings(E)))
+        else:
+            averages = _averages(E, full=False, best=optimum)
+            results.append((averages.log_max.log_magnitude, averages, _batch_regime_warnings(E)))
+    snapped, log_threshold, rejects = decide_batch([r[0] for r in results], alpha)
+    return [
+        TestReport(
+            statistic_kind=kind,
+            log_statistic=LogValue(log_statistic),
+            alpha=alpha,
+            log_threshold=log_threshold,
+            reject=bool(reject),
+            p_bound=_reconciled_p_bound(log_statistic, alpha, reject),
+            detail=detail,
+            warnings=warnings,
+        )
+        for kind, log_statistic, reject, (_, detail, warnings) in zip(
+            kinds, snapped, rejects, results
+        )
+    ]
 
 
 def test_max_average(E: EValueVector, alpha: float) -> TestReport:
@@ -190,28 +211,12 @@ def test_max_average(E: EValueVector, alpha: float) -> TestReport:
     (or at n): the averages are log-concave in k, so the later ones
     cannot exceed the maximum and are not computed.
     """
-    alpha = _checked_alpha(alpha)
-    averages = _averages(E, full=False)
-    return _report(
-        StatKind.MAX_AVERAGE,
-        alpha,
-        averages.log_max.log_magnitude,
-        averages,
-        _batch_regime_warnings(E),
-    )
+    return _reports(E, alpha, [StatKind.MAX_AVERAGE])[0]
 
 
 def test_optimized_betting(E: EValueVector, alpha: float) -> TestReport:
     """Reject when the best constant-fraction product reaches 1/alpha."""
-    alpha = _checked_alpha(alpha)
-    optimum = optimize_lambda(E)
-    return _report(
-        StatKind.OPTIMIZED_BETTING,
-        alpha,
-        optimum.log_value.log_magnitude,
-        optimum,
-        _batch_regime_warnings(E),
-    )
+    return _reports(E, alpha, [StatKind.OPTIMIZED_BETTING])[0]
 
 
 def _resolve_strategy(
@@ -242,24 +247,11 @@ def _resolve_strategy(
     return lams, False
 
 
-def test_ville(
-    E: EValueVector,
-    strategy: float | Sequence[float],
-    alpha: float,
-    *,
-    attested: bool = False,
-) -> TestReport:
-    """Sequential betting test: reject if the running product ever
-    reaches 1/alpha.
-
-    ``strategy`` is either one constant fraction or a sequence of
-    per-step fractions.  A sequence is only a valid betting strategy
-    when each fraction depends on nothing later than the preceding
-    e-values; that property is invisible in the numbers, so the caller
-    attests it via ``attested`` and the report echoes the attestation
-    (with a warning when it is absent).
-    """
-    alpha = _checked_alpha(alpha)
+def _ville_detail(
+    E: EValueVector, strategy: float | Sequence[float], alpha: float, attested: bool
+) -> tuple[VilleDetail, tuple[str, ...]]:
+    """The running log wealth under ``strategy`` with its hitting index,
+    and the caveats of the sequential test."""
     lams, is_constant = _resolve_strategy(E, strategy)
     trajectory = log_wealth(E.log_values[None], lams)[0]
     crossed = decide_batch(trajectory, alpha)[2]
@@ -283,10 +275,27 @@ def test_ville(
         strategy=lams,
         attested=None if is_constant else attested,
     )
-    # snapping is monotone, so the path's maximum decides the whole path
-    return _report(
-        StatKind.VILLE_SEQUENTIAL, alpha, float(np.max(trajectory)), detail, warnings
-    )
+    return detail, warnings
+
+
+def test_ville(
+    E: EValueVector,
+    strategy: float | Sequence[float],
+    alpha: float,
+    *,
+    attested: bool = False,
+) -> TestReport:
+    """Sequential betting test: reject if the running product ever
+    reaches 1/alpha.
+
+    ``strategy`` is either one constant fraction or a sequence of
+    per-step fractions.  A sequence is only a valid betting strategy
+    when each fraction depends on nothing later than the preceding
+    e-values; that property is invisible in the numbers, so the caller
+    attests it via ``attested`` and the report echoes the attestation
+    (with a warning when it is absent).
+    """
+    return _reports(E, alpha, [StatKind.VILLE_SEQUENTIAL], strategy, attested)[0]
 
 
 def e_to_p(log_statistic: LogValue | float) -> float:

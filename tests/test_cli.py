@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from evalcomb import __version__, simlab
+from evalcomb import __version__, betting, simlab, sympoly
 from evalcomb.cli import main, parse_scenario
 from evalcomb.errors import ConfigError
 from evalcomb.simlab import AdversarialScenario, FactorScenario, IidTwoPoint
@@ -447,6 +448,23 @@ class TestCombine:
         )
         kinds = [json.loads(line)["statistic_kind"] for line in out.strip().splitlines()]
         assert kinds == ["optimized_betting", "max_average"]
+
+    def test_both_batch_statistics_run_the_optimizer_once(self, capsys, evfile, monkeypatch):
+        """At n = 1000 the max-average search starts from the betting
+        report's lambda* instead of optimizing again."""
+        values = np.random.default_rng(3).lognormal(0.05, 1.0, 1000)
+        path = evfile("".join(f"{v!r}\n" for v in values.tolist()))
+        real, calls = betting.optimize_lambda_batch, []
+
+        def spy(log_rows):
+            calls.append(log_rows.shape)
+            return real(log_rows)
+
+        for module in (betting, sympoly):
+            monkeypatch.setattr(module, "optimize_lambda_batch", spy)
+        code, out, _ = run(capsys, ["combine", "--input", path, "--alpha", "0.05"])
+        assert code == 0 and len(out.splitlines()) == 2
+        assert calls == [(1, 1000)]
 
 
 # ----- simulate -----

@@ -11,7 +11,6 @@ from evalcomb._ratpoly import (
     betting_poly,
     count_roots_between,
     esp_fractions,
-    max_average_reaches,
     poly_max_reaches,
     sturm_chain,
     two_point_betting_reaches,
@@ -172,7 +171,6 @@ threshold = st.fractions(min_value=0, max_value=12, max_denominator=16)
 @settings(max_examples=300, deadline=None)
 def test_decisions_match_the_fraction_reference(values, t):
     assert poly_max_reaches(values, t) == oracles.poly_max_reaches(values, t)
-    assert max_average_reaches(values, t) == oracles.max_average_reaches(values, t)
 
 
 @given(entries, st.integers(0, 16))
@@ -199,7 +197,6 @@ def test_tangent_maximum_matches_the_fraction_reference(b, copies):
     for t, reached in ((top, True), (top + F(1, 10**9), False)):
         assert poly_max_reaches(values, t) is reached
         assert oracles.poly_max_reaches(values, t) is reached
-        assert max_average_reaches(values, t) == oracles.max_average_reaches(values, t)
 
 
 point = st.fractions(min_value=-1, max_value=2, max_denominator=6)
@@ -265,7 +262,7 @@ def test_float_verdicts_match_exact_verdicts(case):
     with np.errstate(divide="ignore"):
         log_rows = np.log(np.array(values, dtype=float))[None]
     log_statistics = {
-        max_average_reaches: log_averages_batch(log_rows)[1].max(axis=1),
+        oracles.max_average_reaches: log_averages_batch(log_rows)[1].max(axis=1),
         poly_max_reaches: optimize_lambda_batch(log_rows).log_value,
     }
     for alpha in (a for a in alphas if 0.0 < a < 1.0):
@@ -308,7 +305,7 @@ def test_two_point_deciders_match_the_generic_ones(n):
             ties = [top, peak, top + F(1, 10**9), peak + F(1, 10**9)]
             for t in GRID_THRESHOLDS + ties:
                 for closed, generic in (
-                    (two_point_max_average_reaches, max_average_reaches),
+                    (two_point_max_average_reaches, oracles.max_average_reaches),
                     (two_point_betting_reaches, poly_max_reaches),
                 ):
                     if closed(count, n, hi, lo, t) != generic(row, t):
@@ -337,5 +334,6 @@ def test_two_point_deciders_match_on_random_rows(hi, lo, n, data):
     count = data.draw(st.integers(0, n))
     t = data.draw(st.fractions(min_value=0, max_value=40, max_denominator=16))
     row = [hi] * count + [lo] * (n - count)
-    assert two_point_max_average_reaches(count, n, hi, lo, t) == max_average_reaches(row, t)
+    reaches = oracles.max_average_reaches(row, t)
+    assert two_point_max_average_reaches(count, n, hi, lo, t) == reaches
     assert two_point_betting_reaches(count, n, hi, lo, t) == poly_max_reaches(row, t)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from evalcomb import simlab
+from evalcomb import simlab, sympoly
 from evalcomb.betting import log_wealth, optimize_lambda, optimize_lambda_batch
 from evalcomb.cli import parse_scenario
 from evalcomb.core import EValueVector, Regime
@@ -616,9 +616,9 @@ class TestOutcomeClasses:
         for kernel, batches in calls.items():
             real = getattr(simlab, kernel)
 
-            def spy(log_rows, real=real, batches=batches):
+            def spy(log_rows, *args, real=real, batches=batches, **kwargs):
                 batches.append(list(map(tuple, log_rows)))
-                return real(log_rows)
+                return real(log_rows, *args, **kwargs)
 
             monkeypatch.setattr(simlab, kernel, spy)
         mc_power(scenario, 0.05, 2 * _BLOCK + 7, seed=4)
@@ -642,6 +642,20 @@ class TestOutcomeClasses:
             kind: count / replications for kind, count in rejected.items()
         }
         assert grouped.dominance_violations == violations
+
+    def test_run_optimizes_each_batch_once(self, monkeypatch):
+        """At n = 100 the max-average search takes the rows' largest
+        lambda* from the betting verdicts' optimizer run."""
+        real, calls = simlab.optimize_lambda_batch, []
+
+        def spy(log_rows):
+            calls.append(log_rows.shape)
+            return real(log_rows)
+
+        for module in (simlab, sympoly):
+            monkeypatch.setattr(module, "optimize_lambda_batch", spy)
+        mc_power(parse_scenario("two_point:p=0.5,hi=2.2,lo=0.2,n=100"), 0.05, 500, seed=2)
+        assert len(calls) == 1
 
     def test_many_support_points_group_into_classes(self):
         """A 20-level factor law has 40 support points; at n = 2 its rows

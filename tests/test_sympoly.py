@@ -99,6 +99,16 @@ def test_log_binomials_match_comb():
         assert not log_binomials(n).flags.writeable
 
 
+def test_log_binomials_cache_holds_sixty_four_sizes():
+    """After a first pass over n = 1..64, a second pass is all hits."""
+    log_binomials.cache_clear()
+    for _ in range(2):
+        for n in range(1, 65):
+            log_binomials(n)
+    info = log_binomials.cache_info()
+    assert (info.hits, info.misses) == (64, 64)
+
+
 def test_infinite_entry_propagates():
     sa = symmetric_averages(validate_evalues([math.inf, 1.0]))
     assert sa.log_A[1] == LOG_INF
