@@ -173,13 +173,15 @@ def _interior_roots(excess: np.ndarray) -> np.ndarray:
     rows = np.arange(k, dtype=float)
     lo, x = np.zeros((2, k))
     hi, step, prev_step = np.ones((3, k))
-    # 1, t and t^2: their dot products with t are f, -f' and f''/2
-    stack = np.ones((3, k, n))
-    stack[1] = excess
+    # t, t^2 and t^3: their sums are f, -f' and f''/2, added without
+    # BLAS, whose dot products may start threads on long rows
+    stack = np.empty((3, k, n))
+    stack[0] = excess
     tol, nudge = LAMBDA_TOL, 0.5 * LAMBDA_TOL
     for evaluation in range(_MAX_STEPS + 1):
-        np.multiply(stack[1], stack[1], out=stack[2])
-        moments = np.vecdot(stack, stack[1])
+        np.multiply(stack[0], stack[0], out=stack[1])
+        np.multiply(stack[1], stack[0], out=stack[2])
+        moments = np.add.reduce(stack, axis=2)
         if evaluation:
             rising = moments[0] >= 0.0
             np.copyto(lo, x, where=rising)
@@ -208,7 +210,7 @@ def _interior_roots(excess: np.ndarray) -> np.ndarray:
         following = np.where(inside, target, 0.5 * (lo + hi))
         prev_step, step = step, np.abs(following - x)
         x = following
-        np.divide(1.0, inverse_excess + x[:, None], out=stack[1])
+        np.divide(1.0, inverse_excess + x[:, None], out=stack[0])
     return out
 
 

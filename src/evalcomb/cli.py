@@ -173,7 +173,7 @@ def _read_number_file(
     acceptable number.  Diagnostics cite the 1-based line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             raw_lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc

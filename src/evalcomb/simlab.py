@@ -25,28 +25,29 @@ a law of a row's count of hi entries: binomial for the two-point and
 factor laws, and exactly 1 for the adversarial law, whose outcome
 (E_1, E_2) is the level lo = E_1, hi = E_2 with hi in second position.
 Such a law's outcome classes are level * (n + 1) + count, for the
-sampler, the canonical rows and the exact enumerator alike.  A block is
-drawn as support codes, an (n, rows) matrix of small-integer indices
-into the sorted log support points, with each row's class.  Both batch
-statistics are symmetric in the entries, so a row's verdict depends
-only on its class.  A call counts the rows of each class and, after the
-last block, decides each class seen once on its canonical row, its
-entries in ascending order.  A batch rate is the class counts times one
-verdict per class: the sampled form of the enumerator's exact sum of
-P(class) * verdict(class).
+sampler and the exact enumerator alike.  A block is drawn as support
+codes, an (n, rows) matrix of small-integer indices into the sorted log
+support points, with each row's class.  Both batch statistics are
+symmetric and nondecreasing in every entry, so a row's verdict depends
+only on its class, and a level's rejecting classes form a tail of its
+counts.  A call counts the rows of each class and, after the last
+block, finds each level's rejecting tail exactly, as the enumerator
+does (:func:`_rejecting_weight`), and sums the counts in it: the
+sampled form of the enumerator's exact sum of P(class) * verdict(class).
+Lognormal rows are decided by the float kernels, block by block.
 The Ville statistic depends on the order of the entries: it is read
 from a table of per-support-point log factors, walking the n columns
 with a running sum and a running maximum.
 
-The enumerator decides a class without building its row: a class is
-a two-point row, c entries hi and n - c entries lo, and
+Both decide a class without building its row: a class is a two-point
+row, c entries hi and n - c entries lo, and
 ``_ratpoly.two_point_max_average_reaches`` and
 ``two_point_betting_reaches`` decide it in integers from closed forms
 (the sums of (1 + a z)^c (1 + b z)^(n - c) up to their first descent,
 and the betting product at 0, 1 or its rational stationary point).  The
 generic deciders, with their Sturm chain, remain the oracle for
-arbitrary rational rows.  A call is refused up front when its estimated
-work (:func:`_enumeration_cost`) exceeds ``_ENUMERATION_BUDGET``.
+arbitrary rational rows.  An enumeration is refused up front when its
+estimated work (:func:`_enumeration_cost`) exceeds ``_ENUMERATION_BUDGET``.
 """
 
 from __future__ import annotations
@@ -62,11 +63,12 @@ from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TypeVar, Un
 
 import numpy as np
 
+from . import _esp
 from ._ratpoly import two_point_betting_reaches, two_point_max_average_reaches
 from .betting import _log_factors, log_wealth, optimize_lambda_batch
 from .core import EValueVector, Regime, _checked_number
 from .errors import ConfigError
-from .sympoly import _max_average_rows, log_averages_batch
+from .sympoly import _max_average_rows, log_binomials
 from .testkit import StatKind, _checked_alpha, decide_batch
 
 __all__ = [
@@ -477,8 +479,8 @@ def _drawable_blocks(n: int, replications: int, classes: int = 0) -> Iterator[No
     """Turn blocks of replications of n entries that are too large to
     draw into a ConfigError: before the first draw when a block's n + 1
     draws per row, or the counts of ``classes`` outcome classes, are
-    more 8-byte numbers than numpy can index, and when a block's arrays,
-    the counts or the classes' canonical rows do not fit in memory."""
+    more 8-byte numbers than numpy can index, and when a block's arrays
+    or the counts do not fit in memory."""
     rows = min(_BLOCK, replications)
     too_large = f"a block of {rows} replications of n = {n} entries is too large"
     if max(rows * (n + 1), classes) * 8 > np.iinfo(np.intp).max:
@@ -504,21 +506,17 @@ def _sample_blocks(
 # batch decisions
 
 
-def _batch_verdicts(log_rows: np.ndarray, alpha: float) -> dict[StatKind, np.ndarray]:
-    """The max-average and betting verdicts on every row, from one optimizer run."""
+def _reject_rows(log_rows: np.ndarray, alpha: float) -> dict[StatKind, np.ndarray]:
+    """Every statistic's verdict on every row: the kernels and the
+    decision rule of the single-vector tests, applied to all rows, with
+    one optimizer run for both batch statistics."""
     best = optimize_lambda_batch(log_rows)
     log_statistics = {
         StatKind.MAX_AVERAGE: _max_average_rows(log_rows, best=best)[1],
         StatKind.OPTIMIZED_BETTING: best.log_value,
+        StatKind.VILLE_SEQUENTIAL: log_wealth(log_rows, VILLE_DEFAULT_LAMBDA).max(axis=1),
     }
     return {kind: decide_batch(ls, alpha)[2] for kind, ls in log_statistics.items()}
-
-
-def _reject_rows(log_rows: np.ndarray, alpha: float) -> dict[StatKind, np.ndarray]:
-    """Every statistic's verdict on every row: the kernels and the
-    decision rule of the single-vector tests, applied to all rows."""
-    ville = decide_batch(log_wealth(log_rows, VILLE_DEFAULT_LAMBDA).max(axis=1), alpha)[2]
-    return {**_batch_verdicts(log_rows, alpha), StatKind.VILLE_SEQUENTIAL: ville}
 
 
 def _ville_peaks(codes: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -541,18 +539,6 @@ def _ville_peaks(codes: np.ndarray, support: np.ndarray) -> np.ndarray:
         wealth += table[column]
         np.maximum(peak, wealth, out=peak)
     return peak
-
-
-def _class_rows(scenario: Scenario, classes: np.ndarray) -> np.ndarray:
-    """The canonical row of each outcome class, as :func:`_sample_codes`
-    numbers the classes: the class's log support points in ascending
-    order, a (classes, n) matrix.  Every finite law's class is
-    (level, count of hi entries) = divmod(class, n + 1), so a row holds
-    count hi points and n - count lo points of its level."""
-    level, count = np.divmod(classes, scenario.n + 1)
-    log_hi, log_lo = _level_log_points(_levels(scenario))[level].T
-    is_hi = np.arange(scenario.n) < count[:, None]
-    return np.sort(np.where(is_hi, log_hi[:, None], log_lo[:, None]), axis=1)
 
 
 # --------------------------------------------------------------------
@@ -600,27 +586,25 @@ def _checked_mc_args(replications: int, seed: int) -> tuple[int, int]:
 def _run_batch(
     scenario: Scenario, alpha: float, replications: int, seed: int
 ) -> MonteCarloSummary:
-    """Rejection counts and dominance violations: per row, or per
-    outcome class weighted by its count of rows (see the module docstring)."""
+    """Rejection counts and dominance violations: per row for a
+    lognormal law, per level's rejecting tail of outcome classes for a
+    finite law, at the threshold 1/alpha read as :func:`enumerate_exact`
+    reads it (see the module docstring)."""
     alpha = _checked_alpha(alpha)
     replications, seed = _checked_mc_args(replications, seed)
     started = time.perf_counter()
     rejected = dict.fromkeys(StatKind, 0)
     violations = 0
-
-    def tally(verdicts: dict[StatKind, np.ndarray], weights: np.ndarray | int) -> None:
-        nonlocal violations
-        for kind, flags in verdicts.items():
-            rejected[kind] += int(np.sum(weights * flags))
-        betting_only = verdicts[StatKind.OPTIMIZED_BETTING] & ~verdicts[StatKind.MAX_AVERAGE]
-        violations += int(np.sum(weights * betting_only))
-
     levels = _levels(scenario)
     classes = 0 if levels is None else len(levels) * (scenario.n + 1)
     with _drawable_blocks(scenario.n, replications, classes):
         if levels is None:
             for log_rows in _sample_blocks(partial(_sample_rows, scenario), seed, replications):
-                tally(_reject_rows(log_rows, alpha), 1)
+                verdicts = _reject_rows(log_rows, alpha)
+                for kind, flags in verdicts.items():
+                    rejected[kind] += int(np.count_nonzero(flags))
+                max_average, betting, _ = verdicts.values()
+                violations += int(np.count_nonzero(betting & ~max_average))
         else:
             support = _log_support(scenario)
             class_counts = np.zeros(classes, dtype=np.int64)
@@ -630,8 +614,17 @@ def _run_batch(
                 ville = decide_batch(_ville_peaks(codes.astype(np.intp), support), alpha)[2]
                 rejected[StatKind.VILLE_SEQUENTIAL] += int(np.count_nonzero(ville))
                 class_counts += np.bincount(block_classes, minlength=classes)
-            seen = np.flatnonzero(class_counts)
-            tally(_batch_verdicts(_class_rows(scenario, seen), alpha), class_counts[seen])
+            threshold = 1 / _decimal_fraction(alpha)
+            for level, counts in zip(levels, class_counts.reshape(len(levels), -1).tolist()):
+                hi, lo = _decimal_fraction(level.hi), _decimal_fraction(level.lo)
+                max_average, betting = (
+                    _rejecting_weight(hi, lo, scenario.n, threshold, kind, counts)
+                    for kind in (StatKind.MAX_AVERAGE, StatKind.OPTIMIZED_BETTING)
+                )
+                rejected[StatKind.MAX_AVERAGE] += max_average
+                rejected[StatKind.OPTIMIZED_BETTING] += betting
+                # the tails are nested: the betting-only rows are their difference
+                violations += max(0, betting - max_average)
     rates = {kind: count / replications for kind, count in rejected.items()}
     return MonteCarloSummary(
         replications=replications,
@@ -671,10 +664,13 @@ def mc_power(
 ) -> MonteCarloSummary:
     """Rejection rates under any scenario, plus a dominance audit.
 
-    Counts replications where the betting test rejected while the
-    max-average test did not.  That count is reported, and it must be
-    zero: pathwise, the betting product is a mixture of the symmetric
-    averages and can never exceed their maximum.
+    A finite law's batch verdicts are the enumerator's exact decisions
+    on the outcome classes sampled, and a lognormal law's come from the
+    float kernels, row by row (see the module docstring).  Counts
+    replications where the betting test rejected while the max-average
+    test did not.  That count is reported, and it must be zero:
+    pathwise, the betting product is a mixture of the symmetric averages
+    and can never exceed their maximum.
     """
     return _run_batch(scenario, alpha, replications, seed)
 
@@ -755,19 +751,19 @@ def mc_demimartingale_sweep(
     gs = list(gs)
     pairs = [(k, g) for k in ks for g in gs]
     sums, squares = np.zeros(len(pairs)), np.zeros(len(pairs))
+    # only A_0 .. A_(max k + 1) are read: a prefix of the sums, as in the search
+    columns = max(ks, default=0) + 2
+    log_C = log_binomials(scenario.n)[:columns]
     with _drawable_blocks(scenario.n, replications):
         for log_rows in _sample_blocks(partial(_sample_rows, scenario), seed, replications):
-            averages = np.exp(log_averages_batch(log_rows)[1])
+            averages = np.exp(_esp.prefix_sums(log_rows, columns) - log_C)
             for i, (k, g) in enumerate(pairs):
                 deltas = averages[:, k + 1] - averages[:, k]
                 samples = deltas * np.broadcast_to(g(averages[:, : k + 1]), deltas.shape)
                 sums[i] += samples.sum()
                 squares[i] += (samples * samples).sum()
     means = sums / replications
-    if replications > 1:
-        spreads = np.sqrt(np.maximum(squares - sums * means, 0.0) / (replications - 1))
-    else:
-        spreads = np.zeros(len(pairs))
+    spreads = np.sqrt(np.maximum(squares - sums * means, 0.0) / max(replications - 1, 1))
     return [
         EstimateWithError(
             estimate=float(mean),
@@ -817,40 +813,35 @@ def _enumeration_cost(level: FactorLevel | _OutcomeLevel, n: int) -> int:
     return (n + 1) * n * (4 * count_bits + (n + 2).bit_length() * entry_bits)
 
 
-def _reject_exact(
-    count: int, n: int, hi: Fraction, lo: Fraction, threshold: Fraction, statistic_kind: StatKind
-) -> bool:
-    """Exact verdict on the outcome class of count entries hi and
-    n - count entries lo, from the closed forms for two-point rows."""
-    if statistic_kind is StatKind.MAX_AVERAGE:
-        return two_point_max_average_reaches(count, n, hi, lo, threshold)
-    return two_point_betting_reaches(count, n, hi, lo, threshold)
+def _rejecting_weight(
+    hi: Fraction,
+    lo: Fraction,
+    n: int,
+    threshold: Fraction,
+    statistic_kind: StatKind,
+    weights: list[int],
+) -> int:
+    """Sum of weights[count] over the rejecting outcome classes of a
+    level's rows of n entries, count of them hi and n - count lo.
 
-
-def _level_rejection_probability(
-    level: FactorLevel | _OutcomeLevel, n: int, threshold: Fraction, statistic_kind: StatKind
-) -> Fraction:
-    """Sum of P(outcome class) over the rejecting classes of a level's
-    rows of n entries.
-
-    Both batch statistics are permutation invariant, so the rows collapse
-    into classes by their count of hi entries, weighted by the level's
-    count law (binomial, or count 1 for an adversarial outcome).  Both
-    are also nondecreasing in every entry, so with hi >= lo the rejecting
-    classes are those from some count on; bisection over the counts of
-    positive weight finds it in about log2(n + 2) exact decisions.
+    Both batch statistics are nondecreasing in every entry, so with
+    hi >= lo the rejecting classes are those from some count on;
+    bisection over the counts of positive weight finds it in about
+    log2(n + 2) exact decisions, each from the closed forms for
+    two-point rows.
     """
-    hi, lo = _decimal_fraction(level.hi), _decimal_fraction(level.lo)
-    weights, denominator = level._count_law(n)
+    reaches = (
+        two_point_max_average_reaches
+        if statistic_kind is StatKind.MAX_AVERAGE
+        else two_point_betting_reaches
+    )
     if hi < lo:
         hi, lo, weights = lo, hi, weights[::-1]
     counts = [count for count, weight in enumerate(weights) if weight]
     first = bisect.bisect_left(
-        counts,
-        True,
-        key=lambda count: _reject_exact(count, n, hi, lo, threshold, statistic_kind),
+        counts, True, key=lambda count: reaches(count, n, hi, lo, threshold)
     )
-    return Fraction(sum(weights[count] for count in counts[first:]), denominator)
+    return sum(weights[count] for count in counts[first:])
 
 
 def enumerate_exact(
@@ -895,5 +886,8 @@ def enumerate_exact(
     probs = [_decimal_fraction(level.prob) for level in levels]
     total = Fraction(0)
     for level, prob in zip(levels, probs):
-        total += prob * _level_rejection_probability(level, scenario.n, threshold, statistic_kind)
+        weights, denominator = level._count_law(scenario.n)
+        hi, lo = _decimal_fraction(level.hi), _decimal_fraction(level.lo)
+        tail = _rejecting_weight(hi, lo, scenario.n, threshold, statistic_kind, weights)
+        total += prob * Fraction(tail, denominator)
     return total / sum(probs)

@@ -76,6 +76,19 @@ class TestParseScenario:
         with pytest.raises(ConfigError):
             parse_scenario(spec)
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("two_point:p=abc,hi=2,n=3", "p"),
+            ("two_point:p=0.5,hi=2x,n=3", "hi"),
+            ("two_point:p=0.5,hi=2,lo=,n=3", "lo"),
+            ("two_point:p=0.5,mean=one,n=3", "mean"),
+        ],
+    )
+    def test_rejects_a_non_numeric_two_point_value(self, spec, key):
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            parse_scenario(spec)
+
     @pytest.mark.parametrize("family", ["two_point:p=0.5,hi=2,", "factor:default,"])
     @pytest.mark.parametrize(
         "command",
@@ -226,6 +239,23 @@ class TestCombine:
         assert err.startswith("error: cannot read betting-fraction file")
         assert err.count("\n") == 1
 
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        """An e-value file (with its header) and a betting-fraction file
+        saved with a UTF-8 byte-order mark print what they print without one."""
+        evpath, lampath = tmp_path / "evalues.txt", tmp_path / "lams.txt"
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            evpath.write_bytes(bom + b"e_value\n2.0\n0.5\n8.0\n")
+            lampath.write_bytes(bom + b"0.5\n0.25\n1\n")
+            for stat in (["--stat", "max_average,optimized_betting"],
+                         ["--stat", "ville_sequential", "--lambda-file", str(lampath)]):
+                code, out, err = run(
+                    capsys, ["combine", "--input", str(evpath), "--alpha", "0.05", *stat]
+                )
+                assert (code, err) == (0, "")
+                outputs.append(out)
+        assert outputs[:2] == outputs[2:]
+
     def test_empty_file(self, capsys, evfile):
         code, _, _ = run(
             capsys, ["combine", "--input", evfile(""), "--alpha", "0.05"]
@@ -245,6 +275,24 @@ class TestCombine:
         )
         assert code == 3
         assert "median" in err
+
+    def test_empty_statistic_tokens_are_skipped(self, capsys, evfile):
+        code, out, _ = run(
+            capsys,
+            ["combine", "--input", evfile("2\n8\n"), "--alpha", "0.1",
+             "--stat", "max_average, ,,optimized_betting,"],
+        )
+        assert code == 0
+        kinds = [json.loads(line)["statistic_kind"] for line in out.splitlines()]
+        assert kinds == ["max_average", "optimized_betting"]
+
+    @pytest.mark.parametrize("stat", ["", " , ,"])
+    def test_no_statistic_is_config_error(self, capsys, evfile, stat):
+        code, out, err = run(
+            capsys, ["combine", "--input", evfile("1\n"), "--alpha", "0.1", "--stat", stat]
+        )
+        assert (code, out) == (3, "")
+        assert "--stat selects no statistics" in err
 
     def test_ville_needs_a_strategy(self, capsys, evfile):
         code, _, err = run(

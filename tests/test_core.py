@@ -122,6 +122,11 @@ class TestValidateEvalues:
         with pytest.raises(ValidationError, match=match):
             validate_evalues(raw)
 
+    @pytest.mark.parametrize("raw", [[object()], [1.0, {}]], ids=["object", "dict"])
+    def test_non_numeric_entry_rejected(self, raw):
+        with pytest.raises(ValidationError, match="e-values must all be numbers"):
+            validate_evalues(raw)
+
     def test_numbers_of_every_kind_accepted(self):
         ev = validate_evalues([True, 2, Fraction(1, 4), 2.5, np.int8(3)])
         np.testing.assert_allclose(ev.values, [1.0, 2.0, 0.25, 2.5, 3.0], rtol=1e-15)
@@ -158,6 +163,19 @@ class TestEValueVector:
     def test_two_dimensional_rejected(self):
         with pytest.raises(ValidationError):
             EValueVector(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "log_values, regime, match",
+        [
+            ([], Regime.UNKNOWN, "at least one e-value is required"),
+            ([0.0, math.nan], Regime.UNKNOWN, "NaN is not a valid e-value"),
+            ([0.0], "independent", "unknown regime: 'independent'"),
+        ],
+        ids=["empty", "nan", "regime-text"],
+    )
+    def test_invalid_fields_rejected(self, log_values, regime, match):
+        with pytest.raises(ValidationError, match=match):
+            EValueVector(np.array(log_values), regime)
 
     def test_log_values_immutable(self):
         ev = validate_evalues([1.0, 2.0])

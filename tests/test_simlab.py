@@ -23,8 +23,8 @@ from evalcomb.simlab import (
     IidTwoPoint,
     VILLE_DEFAULT_LAMBDA,
     _BLOCK,
-    _batch_verdicts,
-    _class_rows,
+    _decimal_fraction,
+    _levels,
     _log_support,
     _reject_rows,
     _sample_blocks,
@@ -164,6 +164,19 @@ class TestScenarios:
     def test_factor_levels_must_be_factor_levels(self, levels):
         with pytest.raises(ConfigError):
             FactorScenario(levels=levels, n=3)
+
+    def test_mean_below_lo_is_not_reachable(self):
+        with pytest.raises(ConfigError, match="mean 1.0 is not reachable with p=0.5, lo=4.0"):
+            two_point_scenario(p=0.5, n=3, lo=4.0, mean=1.0)
+
+    def test_factor_law_needs_a_level(self):
+        with pytest.raises(ConfigError, match="at least one level"):
+            FactorScenario(levels=(), n=3)
+
+    def test_factor_mean_weighs_the_conditional_means(self):
+        levels = (FactorLevel(0.25, 0.5, 3.0, 0.0), FactorLevel(0.75, 0.25, 2.0, 0.0))
+        assert FactorScenario(levels, 3).mean == 0.25 * 1.5 + 0.75 * 0.5
+        assert default_factor_scenario(4).mean == 1.0
 
     def test_default_factor_is_null(self):
         sc = default_factor_scenario(8)
@@ -499,7 +512,7 @@ class TestBatchKernels:
                 per_row = _reject_rows(log_rows, alpha)
                 grouped = {
                     kind: flags[classes.ravel()]
-                    for kind, flags in _batch_verdicts(canonical, alpha).items()
+                    for kind, flags in _reject_rows(canonical, alpha).items()
                 }
                 peaks = _ville_peaks(codes.astype(np.intp), support)
                 grouped[StatKind.VILLE_SEQUENTIAL] = decide_batch(peaks, alpha)[2]
@@ -533,16 +546,33 @@ def _class_bound(scenario):
     return len(getattr(scenario, "levels", (None,))) * (scenario.n + 1)
 
 
-def _assert_same_verdicts(scenario, block, alpha):
-    """On a block of (codes, classes), the batch verdicts of each class's
-    canonical row and the Ville verdicts of the column walk equal the
-    per-row verdicts; returns the classes decided."""
+def _exact_verdicts(scenario, classes, alpha):
+    """Each class's exact verdicts, as the Monte Carlo loop takes them:
+    the class's one-class tail of ``_rejecting_weight`` at the threshold
+    1/alpha, alpha read through its shortest decimal."""
+    threshold = 1 / _decimal_fraction(alpha)
+    levels = _levels(scenario)
+    verdicts = {StatKind.MAX_AVERAGE: [], StatKind.OPTIMIZED_BETTING: []}
+    for key in classes:
+        level, count = divmod(int(key), scenario.n + 1)
+        hi, lo = map(_decimal_fraction, (levels[level].hi, levels[level].lo))
+        weights = [int(c == count) for c in range(scenario.n + 1)]
+        for kind, flags in verdicts.items():
+            flags.append(
+                simlab._rejecting_weight(hi, lo, scenario.n, threshold, kind, weights) == 1
+            )
+    return {kind: np.array(flags, dtype=bool) for kind, flags in verdicts.items()}
+
+
+def _assert_exact_verdicts(scenario, block, alpha):
+    """On a block of (codes, classes), each row's float verdicts equal its
+    class's exact batch verdicts, and the Ville verdicts of the column
+    walk equal the per-row ones; returns the classes decided."""
     support = _log_support(scenario)
     codes, classes = block
     seen, inverse = np.unique(classes, return_inverse=True)
     grouped = {
-        kind: flags[inverse]
-        for kind, flags in _batch_verdicts(_class_rows(scenario, seen), alpha).items()
+        kind: flags[inverse] for kind, flags in _exact_verdicts(scenario, seen, alpha).items()
     }
     grouped[StatKind.VILLE_SEQUENTIAL] = decide_batch(_ville_peaks(codes, support), alpha)[2]
     per_row = _reject_rows(np.ascontiguousarray(support[codes].T), alpha)
@@ -601,33 +631,24 @@ class TestOutcomeClasses:
         for seed in (1, 2):
             block = _sample_codes(scenario, support, replication_stream(seed, 0), _BLOCK)
             for alpha in (0.5, 0.05):
-                seen = _assert_same_verdicts(scenario, block, alpha)
+                seen = _assert_exact_verdicts(scenario, block, alpha)
                 assert 1 <= len(seen) <= _class_bound(scenario)
 
-    @pytest.mark.parametrize("spec", CLI_SPECS[:4])
-    def test_run_decides_each_class_at_most_once(self, spec, monkeypatch):
-        """Across the blocks of one Monte Carlo call, each kernel is
-        called once, and each outcome class reaches it at most once, as
-        its canonical row (support points ascending); the summary equals
-        per-row verdicts on the same blocks."""
+    @pytest.mark.parametrize("spec", CLI_SPECS)
+    def test_run_decides_classes_without_the_float_kernels(self, spec, monkeypatch):
+        """A finite law's Monte Carlo call decides its outcome classes
+        exactly and never calls the float batch kernels; the summary
+        equals per-row float verdicts on the same blocks."""
         scenario = parse_scenario(spec)
-        grouped = mc_power(scenario, 0.05, 2 * _BLOCK + 7, seed=4)
-        calls = {kernel: [] for kernel in ("_max_average_rows", "optimize_lambda_batch")}
-        for kernel, batches in calls.items():
-            real = getattr(simlab, kernel)
+        calls = []
 
-            def spy(log_rows, *args, real=real, batches=batches, **kwargs):
-                batches.append(list(map(tuple, log_rows)))
-                return real(log_rows, *args, **kwargs)
+        def spy(log_rows, *args, **kwargs):
+            calls.append(log_rows.shape)
 
+        for kernel in ("_max_average_rows", "optimize_lambda_batch"):
             monkeypatch.setattr(simlab, kernel, spy)
-        mc_power(scenario, 0.05, 2 * _BLOCK + 7, seed=4)
-        for batches in calls.values():
-            assert len(batches) == 1
-            [rows_seen] = batches
-            assert 1 <= len(rows_seen) <= _class_bound(scenario)
-            assert len(set(rows_seen)) == len(rows_seen)
-            assert all(list(row) == sorted(row) for row in rows_seen)
+        grouped = mc_power(scenario, 0.05, 2 * _BLOCK + 7, seed=4)
+        assert calls == []
         monkeypatch.undo()
         replications = 2 * _BLOCK + 7
         rejected = dict.fromkeys(StatKind, 0)
@@ -643,9 +664,21 @@ class TestOutcomeClasses:
         }
         assert grouped.dominance_violations == violations
 
+    def test_audit_counts_betting_only_classes(self, monkeypatch):
+        """A betting decider that always rejects breaks dominance on every
+        row the max average does not reject, and the audit counts them."""
+        scenario, replications = parse_scenario("factor:default,n=8"), 5000
+        honest = mc_power(scenario, 0.05, replications, seed=2)
+        monkeypatch.setattr(simlab, "two_point_betting_reaches", lambda *args: True)
+        broken = mc_power(scenario, 0.05, replications, seed=2)
+        assert honest.dominance_violations == 0
+        assert broken.rejection_rate[StatKind.OPTIMIZED_BETTING] == 1.0
+        accepted = replications - round(replications * honest.rejection_rate[StatKind.MAX_AVERAGE])
+        assert broken.dominance_violations == accepted > 0
+
     def test_run_optimizes_each_batch_once(self, monkeypatch):
-        """At n = 100 the max-average search takes the rows' largest
-        lambda* from the betting verdicts' optimizer run."""
+        """On a lognormal law at n = 100 the max-average search takes the
+        rows' largest lambda* from the betting verdicts' optimizer run."""
         real, calls = simlab.optimize_lambda_batch, []
 
         def spy(log_rows):
@@ -654,7 +687,7 @@ class TestOutcomeClasses:
 
         for module in (simlab, sympoly):
             monkeypatch.setattr(module, "optimize_lambda_batch", spy)
-        mc_power(parse_scenario("two_point:p=0.5,hi=2.2,lo=0.2,n=100"), 0.05, 500, seed=2)
+        mc_power(IidLognormal(1.0, 100), 0.05, 500, seed=2)
         assert len(calls) == 1
 
     def test_many_support_points_group_into_classes(self):
@@ -665,7 +698,7 @@ class TestOutcomeClasses:
         assert len(support) == 40
         block = _sample_codes(FORTY_POINTS, support, replication_stream(5, 0), _BLOCK)
         for alpha in (0.5, 1 / 3):
-            seen = _assert_same_verdicts(FORTY_POINTS, block, alpha)
+            seen = _assert_exact_verdicts(FORTY_POINTS, block, alpha)
             assert 20 <= len(seen) <= _class_bound(FORTY_POINTS)
 
 
@@ -703,6 +736,32 @@ EXTREME_SUPPORTS = [
     ),
 ]
 CLI_LAWS = [pytest.param(parse_scenario(spec), id=spec) for spec in CLI_SPECS]
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        *CLI_LAWS,
+        pytest.param(MANY_LEVELS, id="factor:70_levels"),
+        pytest.param(FORTY_POINTS, id="factor:40_points"),
+        *EXTREME_SUPPORTS,
+    ],
+)
+def test_exact_class_decisions_match_the_float_kernels(scenario):
+    """Every outcome class (level, count), drawable or not, gets the same
+    verdict from the exact decision that the Monte Carlo loop takes as
+    from the float kernels on the class's canonical row: count log hi
+    points and n - count log lo points of its level, sorted ascending."""
+    n, levels = scenario.n, _levels(scenario)
+    classes = np.arange(len(levels) * (n + 1))
+    level, count = np.divmod(classes, n + 1)
+    log_hi, log_lo = _log(np.array([[float(lv.hi), float(lv.lo)] for lv in levels])).T
+    is_hi = np.arange(n) < count[:, None]
+    rows = np.sort(np.where(is_hi, log_hi[level, None], log_lo[level, None]), axis=1)
+    for alpha in (0.5, 0.25, 0.125, 0.05, 0.01, 1 / 3, 0.1, 1e-10):
+        floats = _reject_rows(rows, alpha)
+        for kind, flags in _exact_verdicts(scenario, classes, alpha).items():
+            np.testing.assert_array_equal(flags, floats[kind], err_msg=f"{kind.value} {alpha}")
 
 
 class TestSupportCodes:
@@ -743,27 +802,6 @@ class TestSupportCodes:
             for key in np.unique(classes):
                 members = ordered[:, classes == key]
                 assert (members == members[:, :1]).all(), key
-
-    @pytest.mark.parametrize(
-        "scenario",
-        [
-            *CLI_LAWS,
-            pytest.param(MANY_LEVELS, id="factor:70_levels"),
-            pytest.param(FORTY_POINTS, id="factor:40_points"),
-            *EXTREME_SUPPORTS,
-        ],
-    )
-    def test_class_rows_are_sorted_member_codes(self, scenario):
-        """A class's canonical row, built from the class number alone, is
-        bit for bit every member's sorted codes read through the support."""
-        support = _log_support(scenario)
-        for seed in (1, 2):
-            codes, classes = _sample_codes(scenario, support, replication_stream(seed, 0), _BLOCK)
-            seen, inverse = np.unique(classes, return_inverse=True)
-            rows = _class_rows(scenario, seen)
-            assert rows.shape == (len(seen), scenario.n)
-            want = support[np.sort(codes, axis=0)].T
-            assert rows[inverse].tobytes() == np.ascontiguousarray(want).tobytes()
 
     @pytest.mark.parametrize("scenario", [*CLI_LAWS, *EXTREME_SUPPORTS])
     def test_ville_walk_is_log_wealth(self, scenario):
@@ -880,6 +918,20 @@ class TestDemimartingale:
             g = next(g for g in gs if g.label == est.g_label)
             [single] = mc_demimartingale_sweep(NULL_TP, [est.k], [g], 2_000, seed=12)
             assert single == est
+
+    def test_prefix_of_the_averages_gives_the_full_estimates(self):
+        """The sweep sums only A_0 .. A_(k + 1); its estimates equal, bit for
+        bit, those from all n + 1 averages of the same rows (n = 80 runs
+        folds), and one replication has a standard error of exactly 0."""
+        scenario, reps = IidLognormal(1.0, 80), 300
+        log_rows = _sample_rows(scenario, replication_stream(3, 0), reps)
+        averages = np.exp(log_averages_batch(log_rows)[1])
+        for k, g in itertools.product((0, 5, 79), (g_constant(), g_clipped_identity(10.0))):
+            samples = (averages[:, k + 1] - averages[:, k]) * g(averages[:, : k + 1])
+            [est] = mc_demimartingale_sweep(scenario, [k], [g], reps, seed=3)
+            assert est.estimate == samples.sum() / reps, (k, g.label)
+        [one] = mc_demimartingale_sweep(scenario, [5], [g_constant()], 1, seed=3)
+        assert one.standard_error == 0.0
 
     def test_g_factory_labels(self):
         assert "constant" in g_constant().label
@@ -1072,21 +1124,25 @@ class TestClassBisection:
 
     @pytest.mark.parametrize("level", LEVELS, ids=str)
     def test_matches_a_full_scan_over_classes(self, level):
+        hi, lo = map(_decimal_fraction, (level.hi, level.lo))
         for n in (1, 4, 7):
+            weights, denominator = level._count_law(n)
             for t in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(4), Fraction(10)):
                 for kind in (StatKind.MAX_AVERAGE, StatKind.OPTIMIZED_BETTING):
-                    got = simlab._level_rejection_probability(level, n, t, kind)
+                    got = Fraction(
+                        simlab._rejecting_weight(hi, lo, n, t, kind, weights), denominator
+                    )
                     assert got == _full_scan(level, n, t, kind), (n, t, kind)
 
     def test_decides_about_log2_classes(self, monkeypatch):
         decided = []
-        reject = simlab._reject_exact
+        for name in ("two_point_max_average_reaches", "two_point_betting_reaches"):
 
-        def counting(count, n, hi, lo, threshold, kind):
-            decided.append(count)
-            return reject(count, n, hi, lo, threshold, kind)
+            def counting(count, n, hi, lo, threshold, reaches=getattr(simlab, name)):
+                decided.append(count)
+                return reaches(count, n, hi, lo, threshold)
 
-        monkeypatch.setattr(simlab, "_reject_exact", counting)
+            monkeypatch.setattr(simlab, name, counting)
         sc = two_point_scenario(p=0.5, n=18, lo=0.0, hi=2.0)
         for kind in (StatKind.MAX_AVERAGE, StatKind.OPTIMIZED_BETTING):
             decided.clear()

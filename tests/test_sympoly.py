@@ -13,7 +13,7 @@ from evalcomb import _esp
 from evalcomb._ratpoly import esp_fractions
 from evalcomb.betting import log_wealth, optimize_lambda_batch
 from evalcomb.core import LOG_INF, LOG_ZERO, validate_evalues
-from evalcomb.errors import ValidationError
+from evalcomb.errors import ConfigError, ValidationError
 from evalcomb.sympoly import (
     _MARGIN,
     _max_average_rows,
@@ -97,6 +97,11 @@ def test_log_binomials_match_comb():
         assert log_binomials(n)[-1] == 0.0
         # cached, so no caller may change it for the others
         assert not log_binomials(n).flags.writeable
+
+
+def test_log_binomials_refuse_a_negative_n():
+    with pytest.raises(ConfigError, match="n must be nonnegative"):
+        log_binomials(-1)
 
 
 def test_log_binomials_cache_holds_sixty_four_sizes():

@@ -35,6 +35,15 @@ class TestMaxAverage:
         assert not report.reject
         assert report.p_bound > 0.24
 
+    def test_p_bound_moves_past_alpha_when_exp_rounds_onto_it(self):
+        """The statistic 1e-6 below 1/alpha in log domain does not reject,
+        but exp rounds its bound onto alpha = 5e-324, the smallest
+        subnormal; the bound moves one ulp up to keep reject <=> p <= alpha."""
+        x = math.exp((-math.log(5e-324) - 1e-6) / 2)
+        report = test_max_average(validate_evalues([x, x]), 5e-324)
+        assert report.reject is False
+        assert report.p_bound == 1e-323
+
     def test_p_bound_is_inverse_statistic(self):
         report = test_max_average(_ev([0.0, 8.0]), 0.5)
         assert report.p_bound == pytest.approx(0.25, rel=1e-12)
